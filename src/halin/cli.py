@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
@@ -23,13 +24,7 @@ from .oracles import (
     is_chordal_bruteforce,
 )
 from .peo import chordal_completion, peo_halin, treewidth_from_peo, verify_peo
-from .recognition import (
-    HalinCertificate,
-    MalformedCertificateError,
-    certificate_from_outer,
-    recognize,
-    verify_halin,
-)
+from .recognition import HalinCertificate, certificate_from_outer, certify, recognize
 
 _BENCH_VARIANTS = ("halin", "halin-cubic", "necklace", "wheel")
 
@@ -120,21 +115,24 @@ def _load_with_certificate(
 ) -> tuple[Graph, HalinCertificate | None, str | None]:
     """Graph plus a certificate, recognizing when none was supplied.
 
-    A supplied certificate must verify against the graph; an "outer"
-    field in the graph file is used when it verifies, otherwise
-    recognition runs from scratch. Returns (graph, certificate, reason).
+    Of a supplied certificate only the outer set is trusted: the
+    certificate is rebuilt from it, and it is a format error when that
+    outer set does not certify the graph or the document's other fields
+    differ from the rebuilt ones. An "outer" field in the graph file is
+    used when it certifies, otherwise recognition runs from scratch.
+    Returns (graph, certificate, reason).
     """
     g, outer = gio.load_graph(infile)
     if cert_in:
-        cert = gio.load_certificate(cert_in)
-        if not verify_halin(g, set(cert.outer)):
+        supplied = gio.load_certificate(cert_in)
+        cert = certify(g, supplied.outer)
+        if cert != supplied:
             raise gio.GraphFormatError("certificate does not match the graph")
         return g, cert, None
-    if outer is not None and verify_halin(g, outer):
-        try:
-            return g, certificate_from_outer(g, outer), None
-        except MalformedCertificateError:
-            pass  # unreachable after verification, but recognition still works
+    if outer is not None:
+        cert = certify(g, outer)
+        if cert is not None:
+            return g, cert, None
     result = recognize(g)
     return g, result.certificate, result.reason
 
@@ -270,14 +268,18 @@ def run_bench(
 
 
 def fit_loglog_slope(points: list[dict]) -> float | None:
-    """Least-squares slope of log(time) against log(n); None under 2 points."""
+    """Least-squares slope of log(time) against log(n); None under 2 points
+    or when every point has the same n."""
     if len(points) < 2:
         return None
-    import numpy as np
-
-    xs = np.log([p["n"] for p in points])
-    ys = np.log([max(p["median_s"], 1e-9) for p in points])
-    return float(np.polyfit(xs, ys, 1)[0])
+    xs = [math.log(p["n"]) for p in points]
+    ys = [math.log(max(p["median_s"], 1e-9)) for p in points]
+    mx = statistics.fmean(xs)
+    my = statistics.fmean(ys)
+    sxx = sum((x - mx) ** 2 for x in xs)
+    if sxx == 0:
+        return None
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import Graph
-from .recognition import HalinCertificate, MalformedCertificateError
+from .recognition import HalinCertificate, MalformedCertificateError, check_certificate
 
 C1, C2, C3, C4 = 0, 1, 2, 3
 
@@ -120,7 +120,7 @@ def color_halin(
         run alternately, give its center C3, and fix the remaining even
         stretch pairwise against the parent colors.
     """
-    _validate_certificate(g, cert)
+    check_certificate(g, cert)
     colors = color_tree(cert)
     cyc = cert.cycle_order
     length = len(cyc)
@@ -204,20 +204,12 @@ def _is_true_fan(
     return sum(1 for w in tree_nbrs if w not in cert.outer) == 1
 
 
-def _validate_certificate(g: Graph, cert: HalinCertificate) -> None:
-    if not g.has_vertex(cert.root) or cert.root in cert.outer:
-        raise MalformedCertificateError("root must be a live inner vertex")
-    if set(cert.cycle_order) != set(cert.outer) or len(cert.cycle_order) != len(cert.outer):
-        raise MalformedCertificateError("cycle_order is not a permutation of outer")
-    if len(cert.cycle_order) < 3:
-        raise MalformedCertificateError("outer cycle needs at least 3 vertices")
-    if len(cert.parent) != g.n - 1 or cert.root in cert.parent:
-        raise MalformedCertificateError("parent map must cover all vertices except the root")
-
-
 def _check_proper(g: Graph, colors: dict[int, int]) -> None:
-    for u, v in g.edges():
-        if colors[u] == colors[v]:
-            raise RuntimeError(
-                f"internal error: improper coloring, edge ({u}, {v}) got color {colors[u]}"
-            )
+    adj = g._adjacency()
+    for u in g.vertices():
+        c = colors[u]
+        for v in adj[u]:
+            if colors[v] == c:
+                raise RuntimeError(
+                    f"internal error: improper coloring, edge ({u}, {v}) got color {c}"
+                )

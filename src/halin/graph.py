@@ -42,6 +42,15 @@ class Graph:
         if not (0 <= v < len(self._adj)) or not self._alive[v]:
             raise ValueError(f"vertex {v} is not in the graph")
 
+    def _adjacency(self) -> list[set[int]]:
+        """The adjacency sets themselves, indexed by id; dead ids hold empty sets.
+
+        Package-internal, for hot loops that have already validated their
+        vertex ids and so skip the per-call checks. Read-only, except on a
+        graph the caller made itself (e.g. a fresh ``copy()``).
+        """
+        return self._adj
+
     def has_vertex(self, v: int) -> bool:
         return 0 <= v < len(self._adj) and self._alive[v]
 
@@ -105,7 +114,7 @@ class Graph:
                     yield (u, v)
 
     def num_edges(self) -> int:
-        return sum(len(self._adj[v]) for v in self.vertices()) // 2
+        return sum(map(len, self._adj)) // 2  # dead ids hold empty sets
 
     def is_connected(self) -> bool:
         """True iff every live vertex is reachable from the smallest one.

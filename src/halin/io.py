@@ -109,6 +109,8 @@ def certificate_from_dict(obj: Any) -> Any:
     unknown = set(obj) - {"outer", "cycle_order", "root", "parent"}
     if unknown:
         raise GraphFormatError(f"unknown fields: {sorted(unknown)}")
+    if not isinstance(obj.get("parent"), dict):
+        raise GraphFormatError('bad certificate: "parent" must be an object')
     try:
         outer = frozenset(int(v) for v in obj["outer"])
         cycle_order = tuple(int(v) for v in obj["cycle_order"])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graph import Graph
-from .recognition import HalinCertificate, MalformedCertificateError
+from .recognition import HalinCertificate, MalformedCertificateError, check_certificate
 
 
 @dataclass(frozen=True)
@@ -42,31 +42,35 @@ class PeoResult:
 def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
     """Elimination order and fill edges for a chordal completion of g.
 
-    Walks the cycle with a cursor over a doubly linked list, applying R1
-    to the first applicable triple from the cursor and R2 to exhausted
+    Walks the cycle with a cursor over a linked list, applying R1 to the
+    first applicable triple from the cursor and R2 to exhausted
     two-vertex fans, until only a K4 remains; its vertices are appended
-    in ascending id order.
+    in ascending id order. Raises MalformedCertificateError unless the
+    certificate's cycle and tree edges are exactly the edges of g, so the
+    reduction runs on the certificate alone and never copies the graph.
     """
-    _validate(g, cert)
-    work = g.copy()
+    check_certificate(g, cert)
+    outer = cert.outer
     cyc = cert.cycle_order
     clen = len(cyc)
     nxt = {cyc[i]: cyc[(i + 1) % clen] for i in range(clen)}
-    prv = {cyc[i]: cyc[(i - 1) % clen] for i in range(clen)}
     par = {w: cert.parent[w] for w in cyc}
     child_count = Counter(par.values())
+    # Live tree neighbors of each inner vertex that are inner themselves.
+    # Fills only ever join a cycle vertex to its parent, so the degree of
+    # an inner vertex s is child_count[s] + len(inner_nbrs[s]).
+    inner_nbrs: dict[int, set[int]] = {}
+    for v, p in cert.parent.items():
+        if v not in outer:
+            inner_nbrs.setdefault(v, set()).add(p)
+            inner_nbrs.setdefault(p, set()).add(v)
 
     order: list[int] = []
-    fills: list[tuple[int, int]] = []
+    fills: set[tuple[int, int]] = set()
     trace: list[TraceStep] = []
     live = g.n
     cur = cyc[0]
     idle = 0
-
-    def fill(a: int, b: int) -> None:
-        if not work.has_edge(a, b):
-            work.add_edge(a, b)
-            fills.append((a, b) if a < b else (b, a))
 
     while live > 4:
         q = nxt[cur]
@@ -74,31 +78,20 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
         s = par[cur]
         if par[q] == s and par[r] == s and clen > 3:
             # R1 on the triple (cur, q, r): eliminate q, fill cur-r.
-            fill(cur, r)
-            work.remove_vertex(q)
-            order.append(q)
-            trace.append(TraceStep("R1", q, (cur, q, r, s)))
+            step = TraceStep("R1", q, (cur, q, r, s))
             nxt[cur] = r
-            prv[r] = cur
-            del nxt[q], prv[q], par[q]
+            del nxt[q], par[q]
             child_count[s] -= 1
             clen -= 1
-            live -= 1
-            idle = 0
-        elif par[q] == s and child_count[s] == 2 and work.degree(s) == 3:
-            # R2: (cur, q) is the whole fan of s; hand them to s's third
-            # neighbor t and eliminate s.
-            t = next(z for z in work.neighbors(s) if z != cur and z != q)
-            fill(cur, t)
-            fill(q, t)
-            work.remove_vertex(s)
-            order.append(s)
-            trace.append(TraceStep("R2", s, (cur, q, s, t)))
+        elif par[q] == s and child_count[s] == 2 and len(inner_nbrs.get(s, ())) == 1:
+            # R2: (cur, q) is the whole fan of s, which has degree 3; hand
+            # them to s's third neighbor t and eliminate s.
+            (t,) = inner_nbrs.pop(s)
+            inner_nbrs[t].discard(s)
+            step = TraceStep("R2", s, (cur, q, s, t))
             par[cur] = t
             par[q] = t
             child_count[t] += 2
-            live -= 1
-            idle = 0
         else:
             cur = q
             idle += 1
@@ -106,21 +99,27 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
                 raise MalformedCertificateError(
                     "reduction stalled; certificate does not describe a Halin graph"
                 )
+            continue
+        _apply_step(step, order, fills)
+        trace.append(step)
+        live -= 1
+        idle = 0
 
-    tail = sorted(work.vertices())
+    tail = _residue(g, order)
     for a, b in combinations(tail, 2):
-        if not work.has_edge(a, b):
+        if not g.has_edge(a, b) and (a, b) not in fills:
             raise MalformedCertificateError("residue is not a K4")
     order.extend(tail)
-    return PeoResult(order, set(fills), trace)
+    return PeoResult(order, fills, trace)
 
 
 def chordal_completion(g: Graph, result: PeoResult) -> Graph:
-    """The graph plus the fill edges recorded by peo_halin."""
+    """The graph plus the fill edges recorded by peo_halin(g, ...)."""
     h = g.copy()
+    adj = h._adjacency()
     for u, v in result.fill_edges:
-        if not h.has_edge(u, v):
-            h.add_edge(u, v)
+        adj[u].add(v)
+        adj[v].add(u)
     return h
 
 
@@ -129,11 +128,12 @@ def verify_peo(filled: Graph, order: list[int]) -> bool:
     vs = set(filled.vertices())
     if len(order) != len(vs) or set(order) != vs:
         raise ValueError("order is not a permutation of the vertex set")
+    adj = filled._adjacency()
     pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = [w for w in filled.neighbors(v) if pos[w] > pos[v]]
+    for i, v in enumerate(order):
+        later = [w for w in adj[v] if pos[w] > i]
         for a, b in combinations(later, 2):
-            if not filled.has_edge(a, b):
+            if b not in adj[a]:
                 return False
     return True
 
@@ -150,43 +150,41 @@ def treewidth_from_peo(filled: Graph, order: list[int]) -> int:
 
 
 def replay_trace(g: Graph, trace: list[TraceStep]) -> tuple[list[int], set[tuple[int, int]]]:
-    """Re-run a reduction trace on a fresh copy; returns (order, fills).
+    """Re-run a reduction trace of peo_halin on g; returns (order, fills).
 
     Replaying the trace of peo_halin(g, cert) reproduces its order and
-    fill_edges exactly.
+    fill_edges exactly; both apply each step with the same function.
     """
-    work = g.copy()
     order: list[int] = []
     fills: set[tuple[int, int]] = set()
-
-    def fill(a: int, b: int) -> None:
-        if not work.has_edge(a, b):
-            work.add_edge(a, b)
-            fills.add((a, b) if a < b else (b, a))
-
     for step in trace:
-        if step.rule == "R1":
-            p, q, r, _s = step.clique
-            fill(p, r)
-            work.remove_vertex(q)
-            order.append(q)
-        elif step.rule == "R2":
-            p, r, s, t = step.clique
-            fill(p, t)
-            fill(r, t)
-            work.remove_vertex(s)
-            order.append(s)
-        else:
-            raise ValueError(f"unknown rule tag {step.rule!r}")
-    order.extend(sorted(work.vertices()))
+        _apply_step(step, order, fills)
+    order.extend(_residue(g, order))
     return order, fills
 
 
-def _validate(g: Graph, cert: HalinCertificate) -> None:
-    if set(cert.cycle_order) != set(cert.outer):
-        raise MalformedCertificateError("cycle_order is not a permutation of outer")
-    if len(cert.parent) != g.n - 1 or cert.root in cert.parent:
-        raise MalformedCertificateError("parent map must cover all vertices except the root")
-    for w in cert.cycle_order:
-        if w not in cert.parent:
-            raise MalformedCertificateError(f"cycle vertex {w} has no recorded parent")
+def _apply_step(step: TraceStep, order: list[int], fills: set[tuple[int, int]]) -> None:
+    """Apply one reduction: record its fill edges and eliminate its vertex.
+
+    On a certificate that passed check_certificate a fill never joins two
+    vertices already adjacent in g, so no edge test is needed: R1 joins
+    cycle vertices that were never consecutive, R2 joins a cycle vertex
+    to a vertex that was never its tree parent.
+    """
+    if step.rule == "R1":
+        p, _q, r, _s = step.clique
+        new = ((p, r),)
+    elif step.rule == "R2":
+        p, r, _s, t = step.clique
+        new = ((p, t), (r, t))
+    else:
+        raise ValueError(f"unknown rule tag {step.rule!r}")
+    for a, b in new:
+        fills.add((a, b) if a < b else (b, a))
+    order.append(step.eliminated)
+
+
+def _residue(g: Graph, eliminated: list[int]) -> list[int]:
+    """The vertices of g not yet eliminated, in ascending id order."""
+    gone = set(eliminated)
+    return [v for v in g.vertices() if v not in gone]

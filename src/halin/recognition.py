@@ -4,8 +4,9 @@ Recognition never tests planarity. It repeatedly contracts a fan
 (an internal vertex whose neighbors, minus one, form a path of degree-3
 vertices) into a single placeholder vertex until the residue is a wheel,
 then expands the contraction trace to recover the outer cycle. The
-resulting certificate is always re-checked with ``verify_halin``, so a
-bad contraction can only cause a rejection, never a wrong acceptance.
+outer set is always re-checked by ``certify``, which builds the
+certificate in the same pass, so a bad contraction can only cause a
+rejection, never a wrong acceptance.
 """
 
 from __future__ import annotations
@@ -124,56 +125,115 @@ def certificate_from_outer(g: Graph, outer: set[int]) -> HalinCertificate:
     return HalinCertificate(frozenset(outer), tuple(order), parent, root)
 
 
-def verify_halin(g: Graph, outer: set[int]) -> bool:
-    """Check that ``outer`` witnesses a Halin decomposition of ``g``.
+def check_certificate(g: Graph, cert: HalinCertificate) -> None:
+    """Raise MalformedCertificateError unless the cycle and tree edges of
+    ``cert`` are exactly the edges of ``g``.
 
-    True iff (a) the outer vertices induce a single cycle, (b) removing
+    The O(n) guard in front of coloring and elimination: the root is a
+    live inner vertex, ``cycle_order`` is a permutation of ``outer`` whose
+    consecutive pairs are edges, every other vertex has a parent joined to
+    it by an edge, no parent is an outer vertex and no two vertices are
+    each other's parent, and g has no edge beyond these. It does not check
+    that the parent map is connected or that g is Halin; ``certify`` does.
+    """
+    outer = cert.outer
+    cyc = cert.cycle_order
+    parent = cert.parent
+    if not g.has_vertex(cert.root) or cert.root in outer:
+        raise MalformedCertificateError("root must be a live inner vertex")
+    if len(cyc) < 3:
+        raise MalformedCertificateError("outer cycle needs at least 3 vertices")
+    if len(cyc) != len(outer) or set(cyc) != outer:
+        raise MalformedCertificateError("cycle_order is not a permutation of outer")
+    if len(parent) != g.n - 1 or cert.root in parent:
+        raise MalformedCertificateError("parent map must cover all vertices except the root")
+    adj = g._adjacency()
+    # With the ids in range, a dead id fails the edge tests below: it has
+    # no neighbors, and it is nobody's neighbor.
+    if min(outer) < 0 or max(outer) >= len(adj) or min(parent) < 0 or max(parent) >= len(adj):
+        raise MalformedCertificateError("vertex id out of range")
+    for i, w in enumerate(cyc):
+        if cyc[i - 1] not in adj[w]:
+            raise MalformedCertificateError(
+                f"cycle_order pair ({cyc[i - 1]}, {w}) is not an edge of the graph"
+            )
+    for v, p in parent.items():
+        if p not in adj[v] or p in outer or parent.get(p) == v:
+            raise MalformedCertificateError(f"parent pair ({v}, {p}) is not a tree edge")
+    if g.num_edges() != g.n - 1 + len(cyc):
+        raise MalformedCertificateError("the graph has edges outside the cycle and the tree")
+
+
+def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
+    """The certificate of ``outer`` if it witnesses a Halin decomposition
+    of ``g``, else None; one walk of the cycle and one of the tree.
+
+    Accepts iff (a) the outer vertices induce a single cycle, (b) removing
     the cycle edges leaves a spanning tree, (c) whose leaves are exactly
     the outer vertices, (d) with no inner vertex of tree-degree 2, and
     (e) the leaves of every subtree form a contiguous arc of the cycle,
     i.e. the cycle order is realizable by a planar embedding of the tree.
+    The certificate is the one ``certificate_from_outer`` builds.
     """
     outer = set(outer)
-    for w in outer:
-        if not g.has_vertex(w):
-            return False
-    try:
-        order = outer_cycle_order(g, outer)
-    except ValueError:
-        return False
-    n = g.n
-    cyc_len = len(order)
-    if g.num_edges() - cyc_len != n - 1:
-        return False
+    adj = g._adjacency()
+    if len(outer) < 3 or min(outer) < 0 or max(outer) >= len(adj):
+        return None
     # Outer vertices: 2 cycle neighbors + 1 tree parent. Inner vertices
     # touch no cycle edge, so their tree-degree is their plain degree.
-    for w in outer:
-        if g.degree(w) != 3:
-            return False
+    # Dead ids have no neighbors, so this also rejects them.
+    if any(len(adj[w]) != 3 for w in outer):
+        return None
+    # (a) The walk from the smallest outer id toward its smaller outer
+    # neighbor, as in outer_cycle_order.
+    start = min(outer)
+    first = sorted(adj[start] & outer)
+    if len(first) != 2:
+        return None
+    order = [start]
+    prev, cur = start, first[0]
+    while cur != start:
+        order.append(cur)
+        if len(order) > len(outer):
+            return None
+        step = adj[cur] & outer
+        if len(step) != 2:
+            return None
+        step.discard(prev)
+        prev, cur = cur, step.pop()
+    cyc_len = len(order)
+    if cyc_len != len(outer):
+        return None
+    n = g.n
+    if g.num_edges() - cyc_len != n - 1:
+        return None
     inner = [v for v in g.vertices() if v not in outer]
-    if not inner:
-        return False
-    for v in inner:
-        if g.degree(v) < 3:
-            return False
-    root = min(inner)
+    if not inner or any(len(adj[v]) < 3 for v in inner):
+        return None
+    # (b) BFS over the non-cycle edges, as in inner_tree. An outer vertex
+    # has exactly one of those, to the vertex it was reached from, so
+    # only inner vertices, whose edges are all non-cycle, are expanded.
+    root = inner[0]
     parent: dict[int, int] = {}
     bfs = [root]
     seen = {root}
     for v in bfs:
-        for w in g.neighbors(v):
-            if w in seen or (v in outer and w in outer):
-                continue
-            seen.add(w)
-            parent[w] = v
-            bfs.append(w)
+        if v in outer:
+            continue
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                parent[w] = v
+                bfs.append(w)
     if len(seen) != n:
-        return False
+        return None
 
-    # Arc-contiguity. Rotate the cycle so it starts at a boundary between
-    # two root subtrees; valid arcs then never wrap, and a leaf interval
-    # is contiguous iff count == max - min + 1.
-    top: dict[int, int] = {root: root}
+    # (e) Arc-contiguity. Rotate the cycle so it starts at a boundary
+    # between two root subtrees; valid arcs then never wrap, and a leaf
+    # interval is contiguous iff count == max - min + 1.
+    bound = len(adj)
+    top = [0] * bound
+    top[root] = root
     for v in bfs[1:]:
         p = parent[v]
         top[v] = v if p == root else top[p]
@@ -182,106 +242,123 @@ def verify_halin(g: Graph, outer: set[int]) -> bool:
     )
     if boundary is None:
         # Single root subtree: the root would have tree-degree 1.
-        return False
-    pos = {order[(boundary + j) % cyc_len]: j for j in range(cyc_len)}
-    lmin = {}
-    lmax = {}
-    lcnt = {}
-    for v in reversed(bfs):
-        if v in outer:
-            lmin[v] = lmax[v] = pos[v]
-            lcnt[v] = 1
-        elif v not in lcnt:
-            return False  # inner vertex with no leaf below it
-        if v == root:
-            continue
+        return None
+    lo = [cyc_len] * bound
+    hi = [-1] * bound
+    cnt = [0] * bound
+    for j in range(cyc_len):
+        w = order[(boundary + j) % cyc_len]
+        lo[w] = hi[w] = j
+        cnt[w] = 1
+    # Children before parents: every subtree is complete when its root
+    # is reached.
+    for v in bfs[:0:-1]:
+        c = cnt[v]
+        if c == 0 or c != hi[v] - lo[v] + 1:
+            return None  # no leaf below an inner vertex, or a split arc
         p = parent[v]
-        if p in lcnt:
-            lmin[p] = min(lmin[p], lmin[v])
-            lmax[p] = max(lmax[p], lmax[v])
-            lcnt[p] += lcnt[v]
-        else:
-            lmin[p], lmax[p], lcnt[p] = lmin[v], lmax[v], lcnt[v]
-    for v in bfs[1:]:
-        if lcnt[v] != lmax[v] - lmin[v] + 1:
-            return False
-    return True
+        cnt[p] += c
+        if lo[v] < lo[p]:
+            lo[p] = lo[v]
+        if hi[v] > hi[p]:
+            hi[p] = hi[v]
+    return HalinCertificate(frozenset(outer), tuple(order), parent, root)
+
+
+def verify_halin(g: Graph, outer: set[int]) -> bool:
+    """Check that ``outer`` witnesses a Halin decomposition of ``g``:
+    conditions (a)-(e) of ``certify``."""
+    return certify(g, outer) is not None
 
 
 def recognize(g: Graph) -> RecognitionResult:
     """Decide whether ``g`` is a Halin graph.
 
-    On acceptance the certificate passes ``verify_halin``; on rejection
-    the result carries a reason code.
+    On acceptance the certificate is the one ``certify`` builds for the
+    recovered outer set; on rejection the result carries a reason code.
     """
     if not g.is_connected():
         return RecognitionResult(None, REASON_DISCONNECTED)
-    for v in g.vertices():
-        if g.degree(v) < 3:
-            return RecognitionResult(None, REASON_LOW_DEGREE)
+    src = g._adjacency()
+    if any(len(src[v]) < 3 for v in g.vertices()):
+        return RecognitionResult(None, REASON_LOW_DEGREE)
     if g.n < 4:
         return RecognitionResult(None, REASON_STUCK)
 
-    work = g.copy()
-    orig_bound = work.id_bound
+    # Working copy: adjacency sets plus a live mask; placeholders get the
+    # next fresh id.
+    adj = [set(s) for s in src]
+    live = [False] * len(adj)
+    heap = list(g.vertices())  # ascending, hence already a heap
+    for v in heap:
+        live[v] = True
+    orig_bound = len(adj)
     trace: list[tuple[int, tuple[int, ...]]] = []
-    heap = sorted(work.vertices())
+    heappop, heappush = heapq.heappop, heapq.heappush
     while True:
         fan = None
         while heap:
-            v = heapq.heappop(heap)
-            if not work.has_vertex(v):
+            v = heappop(heap)
+            # Copies of v pushed since it was last popped: equal ids pop in a
+            # row with no contraction between them, so one test covers all.
+            while heap and heap[0] == v:
+                heappop(heap)
+            if not live[v]:
                 continue
-            fan = _find_fan(work, v)
+            fan = _find_fan(adj, v)
             if fan is not None:
                 center = v
                 break
         if fan is None:
             break
         path, hinge, ends_out = fan
-        placeholder = work.add_vertex()
+        placeholder = len(adj)
+        for w in (*path, center):
+            for x in adj[w]:
+                adj[x].discard(w)
+            adj[w].clear()
+            live[w] = False
         new_nbrs = {hinge} | ends_out
-        for w in path:
-            work.remove_vertex(w)
-        work.remove_vertex(center)
+        adj.append(set(new_nbrs))
+        live.append(True)
         for w in new_nbrs:
-            if work.has_vertex(w):
-                work.add_edge(placeholder, w)
+            adj[w].add(placeholder)
         trace.append((placeholder, tuple(path)))
         dirty = {placeholder} | new_nbrs
         for w in list(dirty):
-            if work.has_vertex(w):
-                dirty |= work.neighbors(w)
+            dirty |= adj[w]
         for w in dirty:
-            if work.has_vertex(w):
-                heapq.heappush(heap, w)
+            heappush(heap, w)
 
-    rims = _wheel_rims(work, orig_bound)
+    rims = _wheel_rims(adj, live, orig_bound)
     for rim in rims:
-        outer = _expand(rim, trace)
-        if verify_halin(g, outer):
-            return RecognitionResult(certificate_from_outer(g, outer), None)
+        cert = certify(g, _expand(rim, trace))
+        if cert is not None:
+            return RecognitionResult(cert, None)
     return RecognitionResult(None, REASON_VERIFY_FAILED if rims else REASON_STUCK)
 
 
-def _find_fan(work: Graph, v: int):
-    """Fan pattern centered at v, or None.
+def _find_fan(adj: list[set[int]], v: int):
+    """Fan pattern centered at the live vertex v, or None.
 
     A fan is N(v) minus one hinge vertex forming a path of degree-3
     vertices, each path endpoint having exactly one neighbor outside the
     path and v. Returns (path in order, hinge, endpoint outside-neighbors).
     """
-    nbrs = work.neighbors(v)
+    nbrs = adj[v]
     if len(nbrs) < 3:
         return None
-    non3 = [w for w in nbrs if work.degree(w) != 3]
-    if len(non3) > 1:
-        return None
-    if non3:
-        candidates = non3
+    hinge = None
+    for w in nbrs:
+        if len(adj[w]) != 3:
+            if hinge is not None:
+                return None  # two neighbors of degree other than 3
+            hinge = w
+    if hinge is not None:
+        candidates = (hinge,)
     else:
         # For a genuine fan the hinge has no neighbor inside N(v).
-        candidates = sorted(w for w in nbrs if not (work.neighbors(w) & nbrs))
+        candidates = sorted(w for w in nbrs if adj[w].isdisjoint(nbrs))
     for hinge in candidates:
         path_set = nbrs - {hinge}
         if len(path_set) < 2:
@@ -289,7 +366,7 @@ def _find_fan(work: Graph, v: int):
         ends = []
         ok = True
         for w in path_set:
-            k = len(work.neighbors(w) & path_set)
+            k = len(adj[w] & path_set)
             if k == 1:
                 ends.append(w)
             elif k != 2:
@@ -302,7 +379,7 @@ def _find_fan(work: Graph, v: int):
         seen = {start}
         cur = start
         while True:
-            step = [z for z in work.neighbors(cur) & path_set if z not in seen]
+            step = [z for z in adj[cur] & path_set if z not in seen]
             if not step:
                 break
             cur = step[0]
@@ -310,45 +387,45 @@ def _find_fan(work: Graph, v: int):
             seen.add(cur)
         if len(path) != len(path_set):
             continue
-        out_a = work.neighbors(path[0]) - path_set - {v}
-        out_b = work.neighbors(path[-1]) - path_set - {v}
+        out_a = adj[path[0]] - path_set - {v}
+        out_b = adj[path[-1]] - path_set - {v}
         if len(out_a) != 1 or len(out_b) != 1:
             continue
         return path, hinge, out_a | out_b
     return None
 
 
-def _wheel_rims(work: Graph, orig_bound: int) -> list[set[int]]:
+def _wheel_rims(adj: list[set[int]], live: list[bool], orig_bound: int) -> list[set[int]]:
     """Candidate rim sets if the residue is a wheel, else [].
 
     For K4 every vertex could be the hub, so all four rims are offered,
     original vertices first (placeholders expand to leaves, never hubs).
     """
-    live = sorted(work.vertices())
-    m = len(live)
+    verts = [v for v, alive in enumerate(live) if alive]
+    m = len(verts)
     if m < 4:
         return []
     if m == 4:
-        if work.num_edges() != 6:
+        if sum(len(adj[v]) for v in verts) != 12:
             return []
-        hubs = sorted(live, key=lambda v: (v >= orig_bound, v))
-        return [set(live) - {h} for h in hubs]
-    hubs = [v for v in live if work.degree(v) == m - 1]
+        hubs = sorted(verts, key=lambda v: (v >= orig_bound, v))
+        return [set(verts) - {h} for h in hubs]
+    hubs = [v for v in verts if len(adj[v]) == m - 1]
     if len(hubs) != 1:
         return []
     hub = hubs[0]
-    rim = set(live) - {hub}
-    if any(work.degree(v) != 3 for v in rim):
+    rim = set(verts) - {hub}
+    if any(len(adj[v]) != 3 for v in rim):
         return []
     # Rim must be a single cycle.
     start = min(rim)
-    prev, cur = start, min(work.neighbors(start) & rim)
+    prev, cur = start, min(adj[start] & rim)
     count = 1
     while cur != start:
         count += 1
         if count > len(rim):
             return []
-        step = (work.neighbors(cur) & rim) - {prev}
+        step = (adj[cur] & rim) - {prev}
         if len(step) != 1:
             return []
         prev, cur = cur, step.pop()

@@ -1,8 +1,13 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from halin.cli import main
+import halin
+from halin.cli import fit_loglog_slope, main
 from halin.io import dumps_graph, load_graph
 from halin.generators import make_wheel
 
@@ -178,3 +183,45 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["recognize"])  # missing --in
     assert exc.value.code == 2
+
+
+def _tampered_certificates(tmp_path):
+    """A graph file and three tampered certificate documents for it."""
+    graph = tmp_path / "g.json"
+    cert = tmp_path / "cert.json"
+    main(["generate", "--variant", "halin", "--n", "20", "--seed", "3", "--out", str(graph)])
+    assert main(["recognize", "--in", str(graph), "--emit-certificate", str(cert)]) == 0
+    good = json.loads(cert.read_text())
+    swapped = dict(good)
+    cyc = list(good["cycle_order"])
+    cyc[1], cyc[2] = cyc[2], cyc[1]
+    swapped["cycle_order"] = cyc
+    listed = dict(good, parent=list(good["parent"].values()))
+    docs = {}
+    for name, doc in (("swapped", swapped), ("listed", listed)):
+        docs[name] = tmp_path / f"{name}.json"
+        docs[name].write_text(json.dumps(doc))
+    return graph, docs
+
+
+@pytest.mark.parametrize(
+    "command,doc", [("color", "swapped"), ("peo", "swapped"), ("color", "listed")]
+)
+def test_tampered_certificate_is_format_error(tmp_path, command, doc):
+    graph, docs = _tampered_certificates(tmp_path)
+    src = os.path.dirname(os.path.dirname(halin.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "halin.cli", command, "--in", str(graph),
+         "--certificate", str(docs[doc])],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+def test_fit_loglog_slope_closed_form():
+    points = [{"n": n, "median_s": 3e-7 * n ** 1.37} for n in (100, 250, 1000, 4000)]
+    assert math.isclose(fit_loglog_slope(points), 1.37, abs_tol=1e-9)
+    assert fit_loglog_slope(points[:1]) is None
+    assert fit_loglog_slope([]) is None

@@ -9,6 +9,7 @@ from halin import (
     MalformedCertificateError,
     certificate_from_outer,
     chordal_completion,
+    color_halin,
     generate,
     is_chordal_bruteforce,
     make_halin,
@@ -145,3 +146,35 @@ def test_peo_does_not_mutate_input():
     before = sorted(g.edges())
     _run(g, outer)
     assert sorted(g.edges()) == before
+
+
+def test_swapped_cycle_entries_rejected():
+    # Two swapped entries of a cycle of length >= 5 always put a non-edge
+    # between consecutive entries. Unchecked, some of these certificates
+    # gave a PEO that verify_peo rejects, and some an improper coloring.
+    rng = random.Random(0)
+    for variant in ("halin", "halin_cubic"):
+        for n in (10, 20, 40):
+            for seed in range(50):
+                g, outer = generate(GenSpec(n, variant, seed=seed))
+                cert = certificate_from_outer(g, outer)
+                cyc = list(cert.cycle_order)
+                i, j = rng.sample(range(len(cyc)), 2)
+                cyc[i], cyc[j] = cyc[j], cyc[i]
+                bad = HalinCertificate(cert.outer, tuple(cyc), cert.parent, cert.root)
+                with pytest.raises(MalformedCertificateError):
+                    peo_halin(g, bad)
+                with pytest.raises(MalformedCertificateError):
+                    color_halin(g, bad)
+
+
+def test_certificate_must_cover_every_edge():
+    g, outer = make_halin(GenSpec(20, seed=4))
+    cert = certificate_from_outer(g, outer)
+    inner = sorted(set(g.vertices()) - outer)
+    extra = next(
+        (a, b) for a in inner for b in sorted(outer) if not g.has_edge(a, b)
+    )
+    g.add_edge(*extra)
+    with pytest.raises(MalformedCertificateError):
+        peo_halin(g, cert)
