@@ -20,6 +20,8 @@ from halin.recognition import (
     REASON_DISCONNECTED,
     REASON_LOW_DEGREE,
     REASON_STUCK,
+    HalinCertificate,
+    check_certificate,
 )
 
 
@@ -217,3 +219,30 @@ def test_recognize_does_not_mutate_input():
     edges_before = sorted(g.edges())
     recognize(g)
     assert sorted(g.edges()) == edges_before
+
+
+def test_check_certificate_rejects_each_broken_condition():
+    g, outer = make_halin(GenSpec(30, seed=3))
+    cert = certificate_from_outer(g, outer)
+    check_certificate(g, cert)
+    parent = cert.parent
+    cyc = cert.cycle_order
+    # An inner vertex v below a non-root parent, with an outer child w.
+    v, w = next(
+        (p, c) for c, p in sorted(parent.items())
+        if c in outer and p != cert.root and parent[p] != cert.root
+    )
+    out_of_range = {u: p for u, p in parent.items() if u != w}
+    out_of_range[10**6] = parent[w]
+    broken = [
+        ("root must be a live inner vertex", cyc, parent, w),
+        ("at least 3 vertices", cyc[:2], parent, cert.root),
+        ("not a permutation", cyc[:-1] + (cert.root,), parent, cert.root),
+        ("out of range", cyc, out_of_range, cert.root),
+        ("is not an edge", (cyc[1], cyc[0]) + cyc[2:], parent, cert.root),
+        ("not a tree edge", cyc, {**parent, v: w}, cert.root),  # outer parent
+        ("not a tree edge", cyc, {**parent, parent[v]: v}, cert.root),  # two-cycle
+    ]
+    for message, order, par, root in broken:
+        with pytest.raises(MalformedCertificateError, match=message):
+            check_certificate(g, HalinCertificate(cert.outer, order, par, root))
