@@ -148,15 +148,17 @@ def check_certificate(g: Graph, cert: HalinCertificate) -> None:
     if len(parent) != g.n - 1 or cert.root in parent:
         raise MalformedCertificateError("parent map must cover all vertices except the root")
     adj = g._adjacency()
-    # With the ids in range, a dead id fails the edge tests below: it has
-    # no neighbors, and it is nobody's neighbor.
-    if min(outer) < 0 or max(outer) >= len(adj) or min(parent) < 0 or max(parent) >= len(adj):
+    # With the ids in range, a dead id fails the edge tests: it has no
+    # neighbors, and it is nobody's neighbor.
+    if min(outer) < 0 or max(outer) >= len(adj):
         raise MalformedCertificateError("vertex id out of range")
     for i, w in enumerate(cyc):
         if cyc[i - 1] not in adj[w]:
             raise MalformedCertificateError(
                 f"cycle_order pair ({cyc[i - 1]}, {w}) is not an edge of the graph"
             )
+    if min(parent) < 0 or max(parent) >= len(adj):
+        raise MalformedCertificateError("vertex id out of range")
     for v, p in parent.items():
         if p not in adj[v] or p in outer or parent.get(p) == v:
             raise MalformedCertificateError(f"parent pair ({v}, {p}) is not a tree edge")
