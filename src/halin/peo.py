@@ -56,9 +56,9 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
     nxt = {cyc[i]: cyc[(i + 1) % clen] for i in range(clen)}
     par = {w: cert.parent[w] for w in cyc}
     child_count = Counter(par.values())
-    # Live tree neighbors of each inner vertex that are inner themselves.
-    # Fills only ever join a cycle vertex to its parent, so the degree of
-    # an inner vertex s is child_count[s] + len(inner_nbrs[s]).
+    # Live inner tree neighbors of each inner vertex. The only fills at an
+    # inner vertex join it to the cycle vertices it inherits as children,
+    # so the degree of an inner vertex s is child_count[s] + len(inner_nbrs[s]).
     inner_nbrs: dict[int, set[int]] = {}
     for v, p in cert.parent.items():
         if v not in outer:

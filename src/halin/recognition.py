@@ -296,15 +296,14 @@ def recognize(g: Graph) -> RecognitionResult:
         live[v] = True
     orig_bound = len(adj)
     trace: list[tuple[int, tuple[int, ...]]] = []
-    heappop, heappush = heapq.heappop, heapq.heappush
     while True:
         fan = None
         while heap:
-            v = heappop(heap)
+            v = heapq.heappop(heap)
             # Copies of v pushed since it was last popped: equal ids pop in a
             # row with no contraction between them, so one test covers all.
             while heap and heap[0] == v:
-                heappop(heap)
+                heapq.heappop(heap)
             if not live[v]:
                 continue
             fan = _find_fan(adj, v)
@@ -330,7 +329,7 @@ def recognize(g: Graph) -> RecognitionResult:
         for w in list(dirty):
             dirty |= adj[w]
         for w in dirty:
-            heappush(heap, w)
+            heapq.heappush(heap, w)
 
     rims = _wheel_rims(adj, live, orig_bound)
     for rim in rims:
