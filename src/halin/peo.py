@@ -114,7 +114,8 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
 
 
 def chordal_completion(g: Graph, result: PeoResult) -> Graph:
-    """The graph plus the fill edges recorded by peo_halin(g, ...)."""
+    """The graph plus the fill edges recorded by peo_halin(g, ...); the
+    fills are added as they are, without checking their endpoints again."""
     h = g.copy()
     adj = h._adjacency()
     for u, v in result.fill_edges:
