@@ -355,45 +355,39 @@ def _find_fan(adj: list[set[int]], v: int):
             if hinge is not None:
                 return None  # two neighbors of degree other than 3
             hinge = w
-    if hinge is not None:
-        candidates = (hinge,)
-    else:
-        # For a genuine fan the hinge has no neighbor inside N(v).
-        candidates = sorted(w for w in nbrs if adj[w].isdisjoint(nbrs))
-    for hinge in candidates:
-        path_set = nbrs - {hinge}
-        if len(path_set) < 2:
-            continue
-        ends = []
-        ok = True
-        for w in path_set:
-            k = len(adj[w] & path_set)
-            if k == 1:
-                ends.append(w)
-            elif k != 2:
-                ok = False
-                break
-        if not ok or len(ends) != 2:
-            continue
-        start = min(ends)
-        path = [start]
-        seen = {start}
-        cur = start
-        while True:
-            step = [z for z in adj[cur] & path_set if z not in seen]
-            if not step:
-                break
-            cur = step[0]
-            path.append(cur)
-            seen.add(cur)
-        if len(path) != len(path_set):
-            continue
-        out_a = adj[path[0]] - path_set - {v}
-        out_b = adj[path[-1]] - path_set - {v}
-        if len(out_a) != 1 or len(out_b) != 1:
-            continue
-        return path, hinge, out_a | out_b
-    return None
+    if hinge is None:
+        # The hinge has no neighbor inside N(v), and it is the only such
+        # neighbor: any other would be a path vertex with no path neighbor.
+        isolated = [w for w in nbrs if adj[w].isdisjoint(nbrs)]
+        if len(isolated) != 1:
+            return None
+        hinge = isolated[0]
+    path_set = nbrs - {hinge}
+    ends = []
+    for w in path_set:
+        k = len(adj[w] & path_set)
+        if k == 1:
+            ends.append(w)
+        elif k != 2:
+            return None
+    if len(ends) != 2:
+        return None
+    start = min(ends)
+    path = [start]
+    seen = {start}
+    cur = start
+    while True:
+        step = [z for z in adj[cur] & path_set if z not in seen]
+        if not step:
+            break
+        cur = step[0]
+        path.append(cur)
+        seen.add(cur)
+    if len(path) != len(path_set):
+        return None  # a path plus disjoint cycles
+    # Each endpoint has degree 3: v, one path neighbor and one more.
+    ends_out = (adj[path[0]] | adj[path[-1]]) - path_set - {v}
+    return path, hinge, ends_out
 
 
 def _wheel_rims(adj: list[set[int]], live: list[bool], orig_bound: int) -> list[set[int]]:
