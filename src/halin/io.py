@@ -2,7 +2,8 @@
 
 Graph JSON is an object with fields "n" (vertex count), "edges"
 (array of [u, v] pairs) and an optional "outer" (array of outer-cycle
-vertex ids). Unknown fields are rejected. Serialization is canonical
+vertex ids). Unknown fields, self-loops, duplicate edges (in either
+orientation) and ids outside 0..n-1 are rejected. Serialization is canonical
 (sorted edges, fixed key order) so equal graphs produce identical bytes.
 """
 
@@ -43,21 +44,32 @@ def graph_from_dict(obj: Any) -> tuple[Graph, set[int] | None]:
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise GraphFormatError('"n" must be a non-negative integer')
-    g = Graph(n)
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be an array of [u, v] pairs')
+    # One pass straight into the adjacency sets of a fresh graph, with the
+    # checks of add_edge; a duplicate edge leaves fewer distinct edges.
+    g = Graph(n)
+    adj = g._adjacency()
     for e in edges:
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
+        if not isinstance(e, list) or len(e) != 2:
+            raise GraphFormatError(f"bad edge entry: {e!r}")
+        u, v = e
+        if not (
+            isinstance(u, int) and isinstance(v, int)
+            and not isinstance(u, bool) and not isinstance(v, bool)
         ):
             raise GraphFormatError(f"bad edge entry: {e!r}")
-        try:
-            g.add_edge(e[0], e[1])
-        except ValueError as exc:
-            raise GraphFormatError(str(exc)) from None
+        if u == v:
+            raise GraphFormatError(f"self-loop rejected at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge {e!r} has a vertex id outside 0..{n - 1}")
+        adj[u].add(v)
+        adj[v].add(u)
+    if g.num_edges() != len(edges):
+        raise GraphFormatError(
+            f"duplicate edges: {len(edges)} listed, {g.num_edges()} distinct"
+        )
     outer: set[int] | None = None
     if "outer" in obj:
         raw = obj["outer"]

@@ -11,20 +11,21 @@ plus fills.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph import Graph
 from .recognition import HalinCertificate, MalformedCertificateError, check_certificate
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One reduction: rule tag, eliminated vertex, and its 4-clique.
 
-    For R1 the clique reads (p, q, r, s) with q eliminated and pr filled;
-    for R2 it reads (p, r, s, t) with s eliminated and pt, rt filled.
+    A step is a tuple with named fields, so it is cheap to build and
+    compares and hashes by value. For R1 the clique reads (p, q, r, s)
+    with q eliminated and pr filled; for R2 it reads (p, r, s, t) with s
+    eliminated and pt, rt filled.
     """
 
     rule: str
@@ -53,9 +54,19 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
     outer = cert.outer
     cyc = cert.cycle_order
     clen = len(cyc)
-    nxt = {cyc[i]: cyc[(i + 1) % clen] for i in range(clen)}
-    par = {w: cert.parent[w] for w in cyc}
-    child_count = Counter(par.values())
+    # Indexed by vertex id: nxt and par are read at cycle vertices only,
+    # child_count at inner ones.
+    bound = g.id_bound
+    nxt = [0] * bound
+    par = [0] * bound
+    child_count = [0] * bound
+    prev = cyc[-1]
+    for w in cyc:
+        nxt[prev] = w
+        prev = w
+        p = cert.parent[w]
+        par[w] = p
+        child_count[p] += 1
     # Live inner tree neighbors of each inner vertex. The only fills at an
     # inner vertex join it to the cycle vertices it inherits as children,
     # so the degree of an inner vertex s is child_count[s] + len(inner_nbrs[s]).
@@ -79,8 +90,7 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
         if par[q] == s and par[r] == s and clen > 3:
             # R1 on the triple (cur, q, r): eliminate q, fill cur-r.
             step = TraceStep("R1", q, (cur, q, r, s))
-            nxt[cur] = r
-            del nxt[q], par[q]
+            nxt[cur] = r  # q is off the cycle now, never read again
             child_count[s] -= 1
             clen -= 1
         elif par[q] == s and child_count[s] == 2 and len(inner_nbrs.get(s, ())) == 1:
@@ -114,11 +124,18 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
 
 
 def chordal_completion(g: Graph, result: PeoResult) -> Graph:
-    """The graph plus the fill edges recorded by peo_halin(g, ...); the
-    fills are added as they are, without checking their endpoints again."""
+    """The graph plus the fill edges recorded by peo_halin(g, ...).
+
+    Raises ValueError when a fill edge is a self-loop or has an endpoint
+    that is not a vertex of g.
+    """
     h = g.copy()
     adj = h._adjacency()
+    alive = h._alive  # read directly: has_vertex per endpoint costs a call
+    bound = len(adj)
     for u, v in result.fill_edges:
+        if u == v or not (0 <= u < bound and 0 <= v < bound and alive[u] and alive[v]):
+            raise ValueError(f"fill edge ({u}, {v}) does not join two vertices of the graph")
         adj[u].add(v)
         adj[v].add(u)
     return h
@@ -130,7 +147,9 @@ def verify_peo(filled: Graph, order: list[int]) -> bool:
     if len(order) != len(vs) or set(order) != vs:
         raise ValueError("order is not a permutation of the vertex set")
     adj = filled._adjacency()
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [0] * len(adj)
+    for i, v in enumerate(order):
+        pos[v] = i
     for i, v in enumerate(order):
         later = [w for w in adj[v] if pos[w] > i]
         for a, b in combinations(later, 2):
@@ -172,17 +191,17 @@ def _apply_step(step: TraceStep, order: list[int], fills: set[tuple[int, int]]) 
     cycle vertices that were never consecutive, R2 joins a cycle vertex
     to a vertex that was never its tree parent.
     """
-    if step.rule == "R1":
-        p, _q, r, _s = step.clique
-        new = ((p, r),)
-    elif step.rule == "R2":
-        p, r, _s, t = step.clique
-        new = ((p, t), (r, t))
+    rule, eliminated, clique = step
+    if rule == "R1":
+        p, _q, r, _s = clique
+        fills.add((p, r) if p < r else (r, p))
+    elif rule == "R2":
+        p, r, _s, t = clique
+        fills.add((p, t) if p < t else (t, p))
+        fills.add((r, t) if r < t else (t, r))
     else:
-        raise ValueError(f"unknown rule tag {step.rule!r}")
-    for a, b in new:
-        fills.add((a, b) if a < b else (b, a))
-    order.append(step.eliminated)
+        raise ValueError(f"unknown rule tag {rule!r}")
+    order.append(eliminated)
 
 
 def _residue(g: Graph, eliminated: list[int]) -> list[int]:

@@ -282,28 +282,50 @@ def recognize(g: Graph) -> RecognitionResult:
     if not g.is_connected():
         return RecognitionResult(None, REASON_DISCONNECTED)
     src = g._adjacency()
-    if any(len(src[v]) < 3 for v in g.vertices()):
+    verts = list(g.vertices())
+    if any(len(src[v]) < 3 for v in verts):
         return RecognitionResult(None, REASON_LOW_DEGREE)
     if g.n < 4:
         return RecognitionResult(None, REASON_STUCK)
 
-    # Working copy: adjacency sets plus a live mask; placeholders get the
-    # next fresh id.
+    # A wheel has no fan: in K4 every neighborhood is a triangle, a larger
+    # hub's neighbors form a cycle, and a rim vertex's two rim neighbors
+    # are not adjacent. So it skips the contraction loop.
+    rims = _wheel_rims(src, verts, len(src))
+    trace: list[tuple[int, tuple[int, ...]]] = []
+    if not rims:
+        adj, residue, trace = _contract(src, verts)
+        rims = _wheel_rims(adj, residue, len(src))
+    for rim in rims:
+        cert = certify(g, _expand(rim, trace))
+        if cert is not None:
+            return RecognitionResult(cert, None)
+    return RecognitionResult(None, REASON_VERIFY_FAILED if rims else REASON_STUCK)
+
+
+def _contract(
+    src: list[set[int]], verts: list[int]
+) -> tuple[list[set[int]], list[int], list[tuple[int, tuple[int, ...]]]]:
+    """Contract fans, smallest live id first, until none is left.
+
+    Works on a copy of ``src``, whose live ids are ``verts`` in ascending
+    order; placeholders get the next fresh id. Returns the adjacency sets,
+    the live ids of the residue, and the trace: one (placeholder, path)
+    per contraction.
+    """
     adj = [set(s) for s in src]
     live = [False] * len(adj)
-    heap = list(g.vertices())  # ascending, hence already a heap
-    for v in heap:
+    for v in verts:
         live[v] = True
-    orig_bound = len(adj)
-    trace: list[tuple[int, tuple[int, ...]]] = []
+    heap = list(verts)  # ascending, hence already a heap
+    # One heap entry per id at most: an id is pushed only while not queued.
+    queued = list(live)
+    trace = []
     while True:
         fan = None
         while heap:
             v = heapq.heappop(heap)
-            # Copies of v pushed since it was last popped: equal ids pop in a
-            # row with no contraction between them, so one test covers all.
-            while heap and heap[0] == v:
-                heapq.heappop(heap)
+            queued[v] = False
             if not live[v]:
                 continue
             fan = _find_fan(adj, v)
@@ -311,7 +333,7 @@ def recognize(g: Graph) -> RecognitionResult:
                 center = v
                 break
         if fan is None:
-            break
+            return adj, [v for v, alive in enumerate(live) if alive], trace
         path, hinge, ends_out = fan
         placeholder = len(adj)
         for w in (*path, center):
@@ -322,21 +344,19 @@ def recognize(g: Graph) -> RecognitionResult:
         new_nbrs = {hinge} | ends_out
         adj.append(set(new_nbrs))
         live.append(True)
+        queued.append(False)
         for w in new_nbrs:
             adj[w].add(placeholder)
         trace.append((placeholder, tuple(path)))
-        dirty = {placeholder} | new_nbrs
-        for w in list(dirty):
+        # The placeholder, its neighbors and theirs; each of those
+        # neighbors lists the placeholder.
+        dirty = set(new_nbrs)
+        for w in new_nbrs:
             dirty |= adj[w]
         for w in dirty:
-            heapq.heappush(heap, w)
-
-    rims = _wheel_rims(adj, live, orig_bound)
-    for rim in rims:
-        cert = certify(g, _expand(rim, trace))
-        if cert is not None:
-            return RecognitionResult(cert, None)
-    return RecognitionResult(None, REASON_VERIFY_FAILED if rims else REASON_STUCK)
+            if not queued[w]:
+                queued[w] = True
+                heapq.heappush(heap, w)
 
 
 def _find_fan(adj: list[set[int]], v: int):
@@ -355,6 +375,23 @@ def _find_fan(adj: list[set[int]], v: int):
             if hinge is not None:
                 return None  # two neighbors of degree other than 3
             hinge = w
+    if len(nbrs) == 3:
+        # The path is an adjacent pair of neighbors, the hinge the third.
+        a, b, c = nbrs
+        if hinge is None:
+            # All three have degree 3, so the hinge is the one neighbor
+            # with no neighbor among the others: exactly one pair is adjacent.
+            ab, bc, ca = b in adj[a], c in adj[b], a in adj[c]
+            if ab + bc + ca != 1:
+                return None
+            x, y, hinge = (a, b, c) if ab else (b, c, a) if bc else (c, a, b)
+        else:
+            x, y = (b, c) if hinge == a else (a, c) if hinge == b else (a, b)
+            if y not in adj[x]:
+                return None
+        if y < x:
+            x, y = y, x
+        return [x, y], hinge, (adj[x] | adj[y]) - {x, y, v}
     if hinge is None:
         # The hinge has no neighbor inside N(v), and it is the only such
         # neighbor: any other would be a path vertex with no path neighbor.
@@ -390,13 +427,12 @@ def _find_fan(adj: list[set[int]], v: int):
     return path, hinge, ends_out
 
 
-def _wheel_rims(adj: list[set[int]], live: list[bool], orig_bound: int) -> list[set[int]]:
-    """Candidate rim sets if the residue is a wheel, else [].
+def _wheel_rims(adj: list[set[int]], verts: list[int], orig_bound: int) -> list[set[int]]:
+    """Candidate rim sets if the live vertices ``verts`` form a wheel, else [].
 
     For K4 every vertex could be the hub, so all four rims are offered,
     original vertices first (placeholders expand to leaves, never hubs).
     """
-    verts = [v for v, alive in enumerate(live) if alive]
     m = len(verts)
     if m < 4:
         return []

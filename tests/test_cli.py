@@ -8,7 +8,7 @@ import pytest
 
 import halin
 from halin.cli import fit_loglog_slope, main
-from halin.io import dumps_graph, load_graph
+from halin.io import GraphFormatError, dumps_graph, graph_from_dict, load_graph
 from halin.generators import make_wheel
 
 
@@ -225,3 +225,33 @@ def test_fit_loglog_slope_closed_form():
     assert math.isclose(fit_loglog_slope(points), 1.37, abs_tol=1e-9)
     assert fit_loglog_slope(points[:1]) is None
     assert fit_loglog_slope([]) is None
+
+
+# One malformed graph document per rule of graph_from_dict's edge pass.
+MALFORMED_EDGES = {
+    "non-int-id": [[0, "1"], [1, 2]],
+    "float-id": [[0, 1.0], [1, 2]],
+    "bool-id": [[0, True], [1, 2]],
+    "self-loop": [[0, 1], [2, 2]],
+    "negative-id": [[0, 1], [-1, 2]],
+    "id-too-large": [[0, 1], [2, 4]],
+    "duplicate-reversed": [[0, 1], [1, 2], [1, 0]],
+    "duplicate-same": [[0, 1], [1, 2], [0, 1]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_EDGES))
+def test_malformed_edges_are_format_errors(tmp_path, name):
+    doc = {"n": 4, "edges": MALFORMED_EDGES[name]}
+    with pytest.raises(GraphFormatError):
+        graph_from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(halin.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "halin.cli", "recognize", "--in", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

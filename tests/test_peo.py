@@ -7,6 +7,7 @@ from halin import (
     GenSpec,
     Graph,
     MalformedCertificateError,
+    PeoResult,
     certificate_from_outer,
     chordal_completion,
     color_halin,
@@ -178,3 +179,15 @@ def test_certificate_must_cover_every_edge():
     g.add_edge(*extra)
     with pytest.raises(MalformedCertificateError):
         peo_halin(g, cert)
+
+
+@pytest.mark.parametrize(
+    "fill",
+    [(0, 2), (0, 99), (1, 1)],
+    ids=["dead-id", "out-of-range", "self-loop"],
+)
+def test_completion_rejects_bad_fill(fill):
+    g, _ = make_wheel(6)
+    g.remove_vertex(2)
+    with pytest.raises(ValueError):
+        chordal_completion(g, PeoResult([], {fill}, []))
