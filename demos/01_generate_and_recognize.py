@@ -2,8 +2,8 @@
 
 A Halin graph is a plane tree with no degree-2 node plus a cycle through
 its leaves. The recognizer never touches planarity: it shrinks the graph
-fan by fan until a wheel remains, then expands the contractions to
-recover the outer cycle.
+by two local rules on triangles of degree-3 vertices until four vertices
+remain, then undoes the rules to recover the outer cycle.
 """
 
 from halin import GenSpec, Graph, make_halin, make_necklace, make_wheel, recognize

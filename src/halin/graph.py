@@ -1,8 +1,8 @@
 """Simple undirected graph on dense integer vertex ids.
 
 Vertices are ids 0..n-1 with adjacency stored as per-vertex sets.
-Deletion uses a live-vertex mask so ids stay stable across reductions;
-new vertices (e.g. contraction placeholders) get fresh ids at the end.
+Deletion uses a live-vertex mask so ids stay stable; ``add_vertex`` gives
+a new vertex the next fresh id.
 """
 
 from __future__ import annotations

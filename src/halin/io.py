@@ -13,6 +13,7 @@ import json
 from typing import IO, Any
 
 from .graph import Graph
+from .recognition import HalinCertificate
 
 _GRAPH_FIELDS = {"n", "edges", "outer"}
 
@@ -104,7 +105,7 @@ def load_graph(path: str) -> tuple[Graph, set[int] | None]:
     return graph_from_dict(obj)
 
 
-def certificate_to_dict(cert: Any) -> dict[str, Any]:
+def certificate_to_dict(cert: HalinCertificate) -> dict[str, Any]:
     return {
         "outer": sorted(cert.outer),
         "cycle_order": list(cert.cycle_order),
@@ -113,9 +114,7 @@ def certificate_to_dict(cert: Any) -> dict[str, Any]:
     }
 
 
-def certificate_from_dict(obj: Any) -> Any:
-    from .recognition import HalinCertificate
-
+def certificate_from_dict(obj: Any) -> HalinCertificate:
     if not isinstance(obj, dict):
         raise GraphFormatError("certificate document must be a JSON object")
     unknown = set(obj) - {"outer", "cycle_order", "root", "parent"}
@@ -133,7 +132,7 @@ def certificate_from_dict(obj: Any) -> Any:
     return HalinCertificate(outer, cycle_order, parent, root)
 
 
-def load_certificate(path: str) -> Any:
+def load_certificate(path: str) -> HalinCertificate:
     with open(path, "r", encoding="utf-8") as f:
         try:
             obj = json.load(f)
@@ -142,7 +141,7 @@ def load_certificate(path: str) -> Any:
     return certificate_from_dict(obj)
 
 
-def save_certificate(path: str, cert: Any) -> None:
+def save_certificate(path: str, cert: HalinCertificate) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(certificate_to_dict(cert), separators=(", ", ": ")) + "\n")
 

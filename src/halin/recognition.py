@@ -1,17 +1,17 @@
 """Halin graph recognition, certificate construction, and verification.
 
-Recognition never tests planarity. It repeatedly contracts a fan
-(an internal vertex whose neighbors, minus one, form a path of degree-3
-vertices) into a single placeholder vertex until the residue is a wheel,
-then expands the contraction trace to recover the outer cycle. The
-outer set is always re-checked by ``certify``, which builds the
-certificate in the same pass, so a bad contraction can only cause a
-rejection, never a wrong acceptance.
+Recognition never tests planarity. Following Eppstein ("Simple
+recognition of Halin graphs and their generalizations", JGAA 2016), it
+shrinks the graph by two local rules on triangles of degree-3 vertices
+until four vertices are left, then undoes the rules on each candidate rim
+of the residue to recover an outer cycle. The outer set is always
+re-checked by ``certify``, which builds the certificate in the same
+pass, so a bad reduction can only cause a rejection, never a wrong
+acceptance.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -288,188 +288,117 @@ def recognize(g: Graph) -> RecognitionResult:
     if g.n < 4:
         return RecognitionResult(None, REASON_STUCK)
 
-    # A wheel has no fan: in K4 every neighborhood is a triangle, a larger
-    # hub's neighbors form a cycle, and a rim vertex's two rim neighbors
-    # are not adjacent. So it skips the contraction loop.
-    rims = _wheel_rims(src, verts, len(src))
-    trace: list[tuple[int, tuple[int, ...]]] = []
-    if not rims:
-        adj, residue, trace = _contract(src, verts)
-        rims = _wheel_rims(adj, residue, len(src))
-    for rim in rims:
-        cert = certify(g, _expand(rim, trace))
+    # In a Halin graph a vertex joined to all others is the hub of a wheel
+    # (any vertex of K4), whose rim is known without reducing.
+    adj, residue, trace = src, verts, []
+    if all(len(src[v]) != g.n - 1 for v in verts):
+        adj, trace = _reduce(src, verts)
+        residue = [v for v in verts if adj[v]]
+    # The hub candidates: all four vertices of K4, the one hub of a wheel.
+    hubs = [v for v in residue if len(adj[v]) == len(residue) - 1]
+    if len(residue) > 4 and len(hubs) > 1:
+        hubs = []
+    for hub in hubs:
+        cert = certify(g, _expand(set(residue) - {hub}, trace))
         if cert is not None:
             return RecognitionResult(cert, None)
-    return RecognitionResult(None, REASON_VERIFY_FAILED if rims else REASON_STUCK)
+    return RecognitionResult(None, REASON_VERIFY_FAILED if hubs else REASON_STUCK)
 
 
-def _contract(
-    src: list[set[int]], verts: list[int]
-) -> tuple[list[set[int]], list[int], list[tuple[int, tuple[int, ...]]]]:
-    """Contract fans, smallest live id first, until none is left.
+def _reduce(src: list[set[int]], verts: list[int]) -> tuple[list[set[int]], list[tuple[int, ...]]]:
+    """Apply the merge and triangle rules to a copy of ``src`` until four
+    vertices are left or no rule applies.
 
-    Works on a copy of ``src``, whose live ids are ``verts`` in ascending
-    order; placeholders get the next fresh id. Returns the adjacency sets,
-    the live ids of the residue, and the trace: one (placeholder, path)
-    per contraction.
+    ``verts`` are the live ids in ascending order. In a Halin graph with
+    more than four vertices every triangle is an inner vertex (the centre)
+    plus two consecutive leaves, so each rule turns a Halin graph into a
+    smaller one in which the kept vertex x is a leaf:
+
+    - merge (x, y): x and y have degree 3, are adjacent and share exactly
+      one neighbour v, of degree at least 4, and their third neighbours
+      differ. They are two leaves of the centre v; y is deleted and x
+      takes over y's third neighbour.
+    - triangle (x, y, v, x', y', v'): x, y and v have degree 3, are
+      mutually adjacent and have distinct outside neighbours x', y', v'.
+      One of them is a centre, whose outside neighbour is its parent, and
+      the other two are its only leaves; y and v are deleted and x is
+      joined to all three outside neighbours. Which one is the centre is
+      left open until expansion.
+
+    Returns the reduced adjacency sets (deleted ids have none) and the
+    trace, one tuple per rule in the order applied.
     """
     adj = [set(s) for s in src]
-    live = [False] * len(adj)
-    for v in verts:
-        live[v] = True
-    heap = list(verts)  # ascending, hence already a heap
-    # One heap entry per id at most: an id is pushed only while not queued.
-    queued = list(live)
-    trace = []
-    while True:
-        fan = None
-        while heap:
-            v = heapq.heappop(heap)
-            queued[v] = False
-            if not live[v]:
+    live = len(verts)
+    trace: list[tuple[int, ...]] = []
+    # Only degree-3 vertices take part in a rule. A rule changes the
+    # neighbours of the kept vertex and of its new neighbours, and in a
+    # merge the degree of v, so a new instance contains one of those and
+    # only they are pushed again. Each pop is O(1); no hub is scanned.
+    stack = verts[::-1]
+    while live > 4 and stack:
+        x = stack.pop()
+        nbrs = adj[x]
+        if len(nbrs) != 3:
+            continue
+        for y in nbrs:
+            if len(adj[y]) != 3:
                 continue
-            fan = _find_fan(adj, v)
-            if fan is not None:
-                center = v
+            common = nbrs & adj[y]
+            if len(common) != 1:
+                continue
+            (v,) = common
+            (x_out,) = nbrs - {y, v}
+            (y_out,) = adj[y] - {x, v}
+            if x_out == y_out:
+                continue
+            if len(adj[v]) > 3:
+                # merge (x, y): y is deleted, x joined to y_out.
+                adj[v].discard(y)
+                adj[y_out].discard(y)
+                adj[y].clear()
+                nbrs.discard(y)
+                nbrs.add(y_out)
+                adj[y_out].add(x)
+                trace.append((x, y))
+                live -= 1
+                stack += (y_out, x)
+                if len(adj[v]) == 3:
+                    stack += (*adj[v], v)
                 break
-        if fan is None:
-            return adj, [v for v, alive in enumerate(live) if alive], trace
-        path, hinge, ends_out = fan
-        placeholder = len(adj)
-        for w in (*path, center):
-            for x in adj[w]:
-                adj[x].discard(w)
-            adj[w].clear()
-            live[w] = False
-        new_nbrs = {hinge} | ends_out
-        adj.append(set(new_nbrs))
-        live.append(True)
-        queued.append(False)
-        for w in new_nbrs:
-            adj[w].add(placeholder)
-        trace.append((placeholder, tuple(path)))
-        # The placeholder, its neighbors and theirs; each of those
-        # neighbors lists the placeholder.
-        dirty = set(new_nbrs)
-        for w in new_nbrs:
-            dirty |= adj[w]
-        for w in dirty:
-            if not queued[w]:
-                queued[w] = True
-                heapq.heappush(heap, w)
-
-
-def _find_fan(adj: list[set[int]], v: int):
-    """Fan pattern centered at the live vertex v, or None.
-
-    A fan is N(v) minus one hinge vertex forming a path of degree-3
-    vertices, each path endpoint having exactly one neighbor outside the
-    path and v. Returns (path in order, hinge, endpoint outside-neighbors).
-    """
-    nbrs = adj[v]
-    if len(nbrs) < 3:
-        return None
-    hinge = None
-    for w in nbrs:
-        if len(adj[w]) != 3:
-            if hinge is not None:
-                return None  # two neighbors of degree other than 3
-            hinge = w
-    if len(nbrs) == 3:
-        # The path is an adjacent pair of neighbors, the hinge the third.
-        a, b, c = nbrs
-        if hinge is None:
-            # All three have degree 3, so the hinge is the one neighbor
-            # with no neighbor among the others: exactly one pair is adjacent.
-            ab, bc, ca = b in adj[a], c in adj[b], a in adj[c]
-            if ab + bc + ca != 1:
-                return None
-            x, y, hinge = (a, b, c) if ab else (b, c, a) if bc else (c, a, b)
-        else:
-            x, y = (b, c) if hinge == a else (a, c) if hinge == b else (a, b)
-            if y not in adj[x]:
-                return None
-        if y < x:
-            x, y = y, x
-        return [x, y], hinge, (adj[x] | adj[y]) - {x, y, v}
-    if hinge is None:
-        # The hinge has no neighbor inside N(v), and it is the only such
-        # neighbor: any other would be a path vertex with no path neighbor.
-        isolated = [w for w in nbrs if adj[w].isdisjoint(nbrs)]
-        if len(isolated) != 1:
-            return None
-        hinge = isolated[0]
-    path_set = nbrs - {hinge}
-    ends = []
-    for w in path_set:
-        k = len(adj[w] & path_set)
-        if k == 1:
-            ends.append(w)
-        elif k != 2:
-            return None
-    if len(ends) != 2:
-        return None
-    start = min(ends)
-    path = [start]
-    seen = {start}
-    cur = start
-    while True:
-        step = [z for z in adj[cur] & path_set if z not in seen]
-        if not step:
+            (v_out,) = adj[v] - {x, y}
+            if v_out == x_out or v_out == y_out:
+                continue
+            # triangle (x, y, v): y and v are deleted, x joined to y_out, v_out.
+            adj[y_out].discard(y)
+            adj[v_out].discard(v)
+            adj[y].clear()
+            adj[v].clear()
+            nbrs.clear()
+            nbrs.update((x_out, y_out, v_out))
+            adj[y_out].add(x)
+            adj[v_out].add(x)
+            trace.append((x, y, v, x_out, y_out, v_out))
+            live -= 2
+            stack += (y_out, v_out, x)
             break
-        cur = step[0]
-        path.append(cur)
-        seen.add(cur)
-    if len(path) != len(path_set):
-        return None  # a path plus disjoint cycles
-    # Each endpoint has degree 3: v, one path neighbor and one more.
-    ends_out = (adj[path[0]] | adj[path[-1]]) - path_set - {v}
-    return path, hinge, ends_out
+    return adj, trace
 
 
-def _wheel_rims(adj: list[set[int]], verts: list[int], orig_bound: int) -> list[set[int]]:
-    """Candidate rim sets if the live vertices ``verts`` form a wheel, else [].
-
-    For K4 every vertex could be the hub, so all four rims are offered,
-    original vertices first (placeholders expand to leaves, never hubs).
-    """
-    m = len(verts)
-    if m < 4:
-        return []
-    if m == 4:
-        if sum(len(adj[v]) for v in verts) != 12:
-            return []
-        hubs = sorted(verts, key=lambda v: (v >= orig_bound, v))
-        return [set(verts) - {h} for h in hubs]
-    hubs = [v for v in verts if len(adj[v]) == m - 1]
-    if len(hubs) != 1:
-        return []
-    hub = hubs[0]
-    rim = set(verts) - {hub}
-    if any(len(adj[v]) != 3 for v in rim):
-        return []
-    # Rim must be a single cycle.
-    start = min(rim)
-    prev, cur = start, min(adj[start] & rim)
-    count = 1
-    while cur != start:
-        count += 1
-        if count > len(rim):
-            return []
-        step = (adj[cur] & rim) - {prev}
-        if len(step) != 1:
-            return []
-        prev, cur = cur, step.pop()
-    if count != len(rim):
-        return []
-    return [rim]
-
-
-def _expand(outer: set[int], trace: list[tuple[int, tuple[int, ...]]]) -> set[int]:
-    """Replace contraction placeholders by the cycle vertices they absorbed."""
-    out = set(outer)
-    for placeholder, leaves in reversed(trace):
-        if placeholder in out:
-            out.remove(placeholder)
-            out.update(leaves)
+def _expand(rim: set[int], trace: list[tuple[int, ...]]) -> set[int]:
+    """Undo the rules of ``trace``, last first, on the rim of the residue."""
+    out = set(rim)
+    for step in reversed(trace):
+        if len(step) == 2:
+            x, y = step
+            if x in out:
+                out.add(y)
+        else:
+            x, y, v, x_out, y_out, v_out = step
+            # Each of x, y, v is a leaf exactly when its outside neighbour
+            # is on the rim; the centre's is its parent, an inner vertex.
+            out.discard(x)
+            for w, w_out in ((x, x_out), (y, y_out), (v, v_out)):
+                if w_out in out:
+                    out.add(w)
     return out

@@ -76,7 +76,9 @@ def test_certify_matches_certificate_from_outer():
 
 def test_certify_rejects_perturbed_outer_sets():
     # K4 and the prism have several outer cycles, so a swap there can
-    # land on another valid one; the larger graphs here have just one.
+    # land on another valid one. A larger necklace has two, but they share
+    # only two of their k + 2 vertices, so no drop or swap of one vertex
+    # turns one into the other; the other graphs here have just one.
     rng = random.Random(5)
     for g, outer in _corpus():
         if g.n <= 6:

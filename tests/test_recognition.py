@@ -16,6 +16,8 @@ from halin import (
     recognize,
     verify_halin,
 )
+from halin.generators import VARIANTS
+from halin.oracles import is_halin_bruteforce
 from halin.recognition import (
     REASON_DISCONNECTED,
     REASON_LOW_DEGREE,
@@ -55,7 +57,7 @@ def test_rejects_disconnected():
 
 def test_rejects_triangle_free_cubic():
     # The cube graph is 3-regular and 3-connected but has no triangles,
-    # so no fan reduction can start anywhere.
+    # so no reduction rule can start anywhere.
     cube = Graph.from_edges(
         8,
         [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
@@ -167,6 +169,12 @@ def test_outer_cycle_order_is_deterministic_cycle():
 # round trips and mutations
 
 
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_round_trip_random(seed):
     rng = random.Random(seed)
@@ -175,9 +183,38 @@ def test_round_trip_random(seed):
     if variant == "halin_cubic" and n % 2:
         n += 1
     g, outer = generate(GenSpec(n, variant, seed=seed))
-    result = recognize(g)
-    assert result.is_halin
-    assert verify_halin(g, set(result.certificate.outer))
+    # Generator ids follow tree order; a random labelling does not.
+    for graph in (g, _relabel(g, rng)):
+        result = recognize(graph)
+        assert result.is_halin
+        assert verify_halin(graph, set(result.certificate.outer))
+
+
+def test_recognize_agrees_with_bruteforce():
+    # Leaves 0 and 6 and their centre 3 form a triangle of degree-3
+    # vertices; which of the three is the centre shows only on the rim.
+    g = Graph.from_edges(
+        7, [(0, 1), (0, 3), (0, 6), (1, 2), (1, 4), (2, 4), (2, 5), (3, 4), (3, 6), (4, 5), (5, 6)]
+    )
+    assert verify_halin(g, {0, 1, 2, 5, 6}) and recognize(g).is_halin
+    rng = random.Random(3)
+    halin = 0
+    for seed in range(2000):
+        variant = rng.choice(VARIANTS)
+        n = rng.randint(6 if variant == "necklace" else 4, 11)
+        if variant in ("halin_cubic", "necklace") and n % 2:
+            n -= 1
+        g = _relabel(generate(GenSpec(n, variant, seed=seed))[0], rng)
+        if seed % 2:
+            u, v = rng.sample(range(g.n), 2)
+            if g.has_edge(u, v):
+                g.remove_edge(u, v)
+            else:
+                g.add_edge(u, v)
+        expected = is_halin_bruteforce(g)
+        assert recognize(g).is_halin == expected, sorted(g.edges())
+        halin += expected
+    assert halin >= 1000  # every unmutated graph
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -191,8 +228,9 @@ def test_cycle_edge_deletion_rejected(seed):
 
 
 def test_outer_matches_generator_for_unique_decompositions():
-    # K4 and the prism have several valid outer cycles, larger wheels and
-    # necklaces only one.
+    # K4 has four outer cycles and the prism three; larger wheels have one
+    # and larger necklaces two. Reducing smallest id first, recognize
+    # returns the generator's outer set on the generator's labelling.
     for n in range(5, 30):
         g, rim = make_wheel(n)
         assert set(recognize(g).certificate.outer) == rim
