@@ -1,9 +1,11 @@
 """Empirical scaling of the coloring and elimination passes.
 
 Both walk the cycle a constant number of times, so doubling the instance
-should roughly double the runtime: a log-log slope near 1. For necklaces
-the elimination cursor drifts backward along the spine as fans collapse,
-so the naive quadratic bound is far from what is measured.
+should roughly double the runtime: a log-log slope near 1. The elimination
+cursor only ever moves forward along the cycle: besides its n - 4
+reductions it takes exactly n/2 idle steps on a necklace (4000 at
+n = 8000, 16000 at n = 32000), so the naive quadratic bound is far from
+what is measured.
 """
 
 from halin.cli import run_bench

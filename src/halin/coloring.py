@@ -10,7 +10,6 @@ instead of returning an improper coloring.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import Graph
@@ -45,17 +44,26 @@ class ColoringTrace:
 def color_tree(cert: HalinCertificate) -> dict[int, int]:
     """2-color every vertex by tree depth parity; the root gets C1.
 
-    Proper on tree edges; conflicts may remain on cycle edges.
+    Proper on tree edges; conflicts may remain on cycle edges. One walk
+    over the parent map: a vertex listed before its parent, which a
+    certificate from ``certify`` never has, colors its uncolored
+    ancestors first. Raises MalformedCertificateError when the parent
+    map has a cycle.
     """
-    children = _children_map(cert)
+    parent = cert.parent
     colors = {cert.root: C1}
-    queue = deque([cert.root])
-    while queue:
-        v = queue.popleft()
-        c = C2 if colors[v] == C1 else C1
-        for w in children.get(v, ()):
-            colors[w] = c
-            queue.append(w)
+    for v, p in parent.items():
+        if p not in colors:
+            path = [v]
+            while p not in colors:
+                path.append(p)
+                if len(path) > len(parent):
+                    raise MalformedCertificateError("the parent map has a cycle")
+                p = parent[p]
+            for w in reversed(path[1:]):
+                colors[w] = C1 + C2 - colors[p]  # the other tree color
+                p = w
+        colors[v] = C1 + C2 - colors[p]
     return colors
 
 

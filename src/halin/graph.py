@@ -7,7 +7,9 @@ a new vertex the next fresh id.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
+from itertools import compress
 from typing import Iterable, Iterator
 
 
@@ -20,6 +22,10 @@ class Graph:
         self._adj: list[set[int]] = [set() for _ in range(n)]
         self._alive: list[bool] = [True] * n
         self._n_live = n
+        # A weak reference to the one certificate ``certify`` last built
+        # for this graph, or None; every mutator resets it. A weak
+        # reference keeps no certificate alive.
+        self._certified: weakref.ref | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -56,6 +62,7 @@ class Graph:
 
     def add_vertex(self) -> int:
         """Allocate a fresh isolated vertex and return its id."""
+        self._certified = None
         self._adj.append(set())
         self._alive.append(True)
         self._n_live += 1
@@ -63,6 +70,7 @@ class Graph:
 
     def remove_vertex(self, v: int) -> None:
         self._check(v)
+        self._certified = None
         for w in self._adj[v]:
             self._adj[w].discard(v)
         self._adj[v] = set()
@@ -74,6 +82,7 @@ class Graph:
             raise ValueError(f"self-loop rejected at vertex {u}")
         self._check(u)
         self._check(v)
+        self._certified = None
         self._adj[u].add(v)
         self._adj[v].add(u)
 
@@ -82,6 +91,7 @@ class Graph:
         self._check(v)
         if v not in self._adj[u]:
             raise ValueError(f"edge ({u}, {v}) is not in the graph")
+        self._certified = None
         self._adj[u].discard(v)
         self._adj[v].discard(u)
 
@@ -102,9 +112,7 @@ class Graph:
         return self._adj[v]
 
     def vertices(self) -> Iterator[int]:
-        for v, alive in enumerate(self._alive):
-            if alive:
-                yield v
+        return compress(range(len(self._alive)), self._alive)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once, as (u, v) with u < v."""
@@ -136,10 +144,15 @@ class Graph:
 
     def copy(self) -> "Graph":
         g = Graph.__new__(Graph)
-        g._adj = [set(s) for s in self._adj]
+        g._adj = list(map(set.copy, self._adj))
         g._alive = list(self._alive)
         g._n_live = self._n_live
+        g._certified = None
         return g
+
+    def __getstate__(self) -> dict:
+        # A weak reference cannot be pickled; the copy starts unchecked.
+        return dict(self.__dict__, _certified=None)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges()})"

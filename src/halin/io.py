@@ -10,16 +10,23 @@ orientation) and ids outside 0..n-1 are rejected. Serialization is canonical
 from __future__ import annotations
 
 import json
+import re
 from typing import IO, Any
 
 from .graph import Graph
 from .recognition import HalinCertificate
 
 _GRAPH_FIELDS = {"n", "edges", "outer"}
+_CERT_FIELDS = {"outer", "cycle_order", "root", "parent"}
+_ID_KEY = re.compile(r"-?[0-9]+")  # a parent key: an integer in decimal
 
 
 class GraphFormatError(ValueError):
     """Raised when a graph or certificate document is malformed."""
+
+
+def _is_id(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def graph_to_dict(g: Graph, outer: set[int] | None = None) -> dict[str, Any]:
@@ -74,9 +81,7 @@ def graph_from_dict(obj: Any) -> tuple[Graph, set[int] | None]:
     outer: set[int] | None = None
     if "outer" in obj:
         raw = obj["outer"]
-        if not isinstance(raw, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in raw
-        ):
+        if not isinstance(raw, list) or not all(map(_is_id, raw)):
             raise GraphFormatError('"outer" must be an array of vertex ids')
         outer = set(raw)
         if len(outer) != len(raw):
@@ -115,21 +120,38 @@ def certificate_to_dict(cert: HalinCertificate) -> dict[str, Any]:
 
 
 def certificate_from_dict(obj: Any) -> HalinCertificate:
+    """Parse a certificate document; ids must be JSON integers.
+
+    Only the keys of "parent" are strings, as JSON requires, and each must
+    be an integer in decimal. A float, a bool or a string where an id
+    belongs, an "outer" or "cycle_order" that is not an array, or an
+    "outer" with a repeated id is a GraphFormatError.
+    """
     if not isinstance(obj, dict):
         raise GraphFormatError("certificate document must be a JSON object")
-    unknown = set(obj) - {"outer", "cycle_order", "root", "parent"}
+    unknown = set(obj) - _CERT_FIELDS
     if unknown:
         raise GraphFormatError(f"unknown fields: {sorted(unknown)}")
-    if not isinstance(obj.get("parent"), dict):
-        raise GraphFormatError('bad certificate: "parent" must be an object')
-    try:
-        outer = frozenset(int(v) for v in obj["outer"])
-        cycle_order = tuple(int(v) for v in obj["cycle_order"])
-        root = int(obj["root"])
-        parent = {int(v): int(p) for v, p in obj["parent"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphFormatError(f"bad certificate: {exc}") from None
-    return HalinCertificate(outer, cycle_order, parent, root)
+    missing = _CERT_FIELDS - set(obj)
+    if missing:
+        raise GraphFormatError(f"bad certificate: missing fields {sorted(missing)}")
+    for name in ("outer", "cycle_order"):
+        if not isinstance(obj[name], list) or not all(map(_is_id, obj[name])):
+            raise GraphFormatError(f'bad certificate: "{name}" must be an array of vertex ids')
+    if not _is_id(obj["root"]):
+        raise GraphFormatError('bad certificate: "root" must be a vertex id')
+    outer = frozenset(obj["outer"])
+    if len(outer) != len(obj["outer"]):
+        raise GraphFormatError('bad certificate: "outer" contains duplicate ids')
+    raw_parent = obj["parent"]
+    if not isinstance(raw_parent, dict) or not all(map(_is_id, raw_parent.values())):
+        raise GraphFormatError('bad certificate: "parent" must map vertex ids to vertex ids')
+    parent = {}
+    for key, p in raw_parent.items():
+        if not isinstance(key, str) or not _ID_KEY.fullmatch(key):
+            raise GraphFormatError(f"bad certificate: parent key {key!r} is not a vertex id")
+        parent[int(key)] = p
+    return HalinCertificate(outer, tuple(obj["cycle_order"]), parent, obj["root"])
 
 
 def load_certificate(path: str) -> HalinCertificate:

@@ -49,10 +49,12 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
     in ascending id order. Raises MalformedCertificateError unless the
     certificate's cycle and tree edges are exactly the edges of g, so the
     reduction runs on the certificate alone and never copies the graph.
+    The loop records only the trace; order and fills are read off it by
+    the pass that ``replay_trace`` uses.
     """
     check_certificate(g, cert)
-    outer = cert.outer
     cyc = cert.cycle_order
+    parent = cert.parent
     clen = len(cyc)
     # Indexed by vertex id: nxt and par are read at cycle vertices only,
     # child_count at inner ones.
@@ -64,21 +66,25 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
     for w in cyc:
         nxt[prev] = w
         prev = w
-        p = cert.parent[w]
+        p = parent[w]
         par[w] = p
         child_count[p] += 1
-    # Live inner tree neighbors of each inner vertex. The only fills at an
-    # inner vertex join it to the cycle vertices it inherits as children,
-    # so the degree of an inner vertex s is child_count[s] + len(inner_nbrs[s]).
-    inner_nbrs: dict[int, set[int]] = {}
-    for v, p in cert.parent.items():
-        if v not in outer:
-            inner_nbrs.setdefault(v, set()).add(p)
-            inner_nbrs.setdefault(p, set()).add(v)
+    # Live inner tree neighbors of each inner vertex, as a count and the
+    # XOR of their ids, which is the neighbor itself when the count is 1.
+    # The only fills at an inner vertex join it to the cycle vertices it
+    # inherits as children, so the degree of an inner vertex s is
+    # child_count[s] + inner_deg[s].
+    inner_deg = [0] * bound
+    inner_xor = [0] * bound
+    for v in parent.keys() - cert.outer:
+        p = parent[v]
+        inner_deg[v] += 1
+        inner_deg[p] += 1
+        inner_xor[v] ^= p
+        inner_xor[p] ^= v
 
-    order: list[int] = []
-    fills: set[tuple[int, int]] = set()
     trace: list[TraceStep] = []
+    new_tuple = tuple.__new__  # builds a TraceStep without its Python-level __new__
     live = g.n
     cur = cyc[0]
     idle = 0
@@ -89,16 +95,17 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
         s = par[cur]
         if par[q] == s and par[r] == s and clen > 3:
             # R1 on the triple (cur, q, r): eliminate q, fill cur-r.
-            step = TraceStep("R1", q, (cur, q, r, s))
+            trace.append(new_tuple(TraceStep, ("R1", q, (cur, q, r, s))))
             nxt[cur] = r  # q is off the cycle now, never read again
             child_count[s] -= 1
             clen -= 1
-        elif par[q] == s and child_count[s] == 2 and len(inner_nbrs.get(s, ())) == 1:
+        elif par[q] == s and child_count[s] == 2 and inner_deg[s] == 1:
             # R2: (cur, q) is the whole fan of s, which has degree 3; hand
             # them to s's third neighbor t and eliminate s.
-            (t,) = inner_nbrs.pop(s)
-            inner_nbrs[t].discard(s)
-            step = TraceStep("R2", s, (cur, q, s, t))
+            t = inner_xor[s]
+            inner_deg[t] -= 1
+            inner_xor[t] ^= s
+            trace.append(new_tuple(TraceStep, ("R2", s, (cur, q, s, t))))
             par[cur] = t
             par[q] = t
             child_count[t] += 2
@@ -110,11 +117,10 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
                     "reduction stalled; certificate does not describe a Halin graph"
                 )
             continue
-        _apply_step(step, order, fills)
-        trace.append(step)
         live -= 1
         idle = 0
 
+    order, fills = _replay(trace)
     tail = _residue(g, order)
     for a, b in combinations(tail, 2):
         if not g.has_edge(a, b) and (a, b) not in fills:
@@ -147,13 +153,14 @@ def verify_peo(filled: Graph, order: list[int]) -> bool:
     if len(order) != len(vs) or set(order) != vs:
         raise ValueError("order is not a permutation of the vertex set")
     adj = filled._adjacency()
-    pos = [0] * len(adj)
-    for i, v in enumerate(order):
-        pos[v] = i
-    for i, v in enumerate(order):
-        later = [w for w in adj[v] if pos[w] > i]
-        for a, b in combinations(later, 2):
-            if b not in adj[a]:
+    done: set[int] = set()
+    for v in order:
+        done.add(v)
+        later = adj[v] - done
+        # Pop the later neighbors one by one; each must see all the rest.
+        while later:
+            a = later.pop()
+            if not later <= adj[a]:
                 return False
     return True
 
@@ -173,35 +180,33 @@ def replay_trace(g: Graph, trace: list[TraceStep]) -> tuple[list[int], set[tuple
     """Re-run a reduction trace of peo_halin on g; returns (order, fills).
 
     Replaying the trace of peo_halin(g, cert) reproduces its order and
-    fill_edges exactly; both apply each step with the same function.
+    fill_edges exactly; both read them off the trace with ``_replay``.
     """
-    order: list[int] = []
-    fills: set[tuple[int, int]] = set()
-    for step in trace:
-        _apply_step(step, order, fills)
+    order, fills = _replay(trace)
     order.extend(_residue(g, order))
     return order, fills
 
 
-def _apply_step(step: TraceStep, order: list[int], fills: set[tuple[int, int]]) -> None:
-    """Apply one reduction: record its fill edges and eliminate its vertex.
+def _replay(trace: list[TraceStep]) -> tuple[list[int], set[tuple[int, int]]]:
+    """The eliminated vertices of a trace in order, and its fill edges.
 
     On a certificate that passed check_certificate a fill never joins two
     vertices already adjacent in g, so no edge test is needed: R1 joins
     cycle vertices that were never consecutive, R2 joins a cycle vertex
     to a vertex that was never its tree parent.
     """
-    rule, eliminated, clique = step
-    if rule == "R1":
-        p, _q, r, _s = clique
-        fills.add((p, r) if p < r else (r, p))
-    elif rule == "R2":
-        p, r, _s, t = clique
-        fills.add((p, t) if p < t else (t, p))
-        fills.add((r, t) if r < t else (t, r))
-    else:
-        raise ValueError(f"unknown rule tag {rule!r}")
-    order.append(eliminated)
+    order: list[int] = []
+    fills: set[tuple[int, int]] = set()
+    for rule, eliminated, (a, b, c, d) in trace:
+        if rule == "R1":  # (p, q, r, s): fill pr
+            fills.add((a, c) if a < c else (c, a))
+        elif rule == "R2":  # (p, r, s, t): fill pt, rt
+            fills.add((a, d) if a < d else (d, a))
+            fills.add((b, d) if b < d else (d, b))
+        else:
+            raise ValueError(f"unknown rule tag {rule!r}")
+        order.append(eliminated)
+    return order, fills
 
 
 def _residue(g: Graph, eliminated: list[int]) -> list[int]:

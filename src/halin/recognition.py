@@ -12,6 +12,7 @@ acceptance.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -25,6 +26,20 @@ REASON_VERIFY_FAILED = "certificate_verification_failed"
 
 class MalformedCertificateError(ValueError):
     """Raised when an operation is handed a certificate that does not fit."""
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses every mutation, so a checked certificate stays
+    checked. Compares, prints, pickles and copies like a dict."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("the parent map of a certificate is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return (_ReadOnlyDict, (dict(self),))
 
 
 @dataclass(frozen=True)
@@ -135,7 +150,15 @@ def check_certificate(g: Graph, cert: HalinCertificate) -> None:
     it by an edge, no parent is an outer vertex and no two vertices are
     each other's parent, and g has no edge beyond these. It does not check
     that the parent map is connected or that g is Halin; ``certify`` does.
+
+    Returns at once, without checking, when ``cert`` is the very object
+    ``certify`` last built for ``g`` and no vertex or edge of g has been
+    added or removed since. Such a certificate is immutable (a frozen
+    dataclass whose parent map refuses writes), so it still describes g.
+    An equal certificate built any other way is checked in full.
     """
+    if g._certified is not None and g._certified() is cert:
+        return
     outer = cert.outer
     cyc = cert.cycle_order
     parent = cert.parent
@@ -175,7 +198,9 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     the outer vertices, (d) with no inner vertex of tree-degree 2, and
     (e) the leaves of every subtree form a contiguous arc of the cycle,
     i.e. the cycle order is realizable by a planar embedding of the tree.
-    The certificate is the one ``certificate_from_outer`` builds.
+    The certificate is the one ``certificate_from_outer`` builds, with a
+    read-only parent map, and ``check_certificate`` passes it on ``g``
+    without a second check until g is changed.
     """
     outer = set(outer)
     adj = g._adjacency()
@@ -198,11 +223,21 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
         order.append(cur)
         if len(order) > len(outer):
             return None
-        step = adj[cur] & outer
-        if len(step) != 2:
+        # cur has degree 3 and was reached from prev: exactly one of its
+        # other two neighbours must be outer.
+        a, b, c = adj[cur]
+        if a == prev:
+            a = c
+        elif b == prev:
+            b = c
+        if a in outer:
+            if b in outer:
+                return None
+        elif b in outer:
+            a = b
+        else:
             return None
-        step.discard(prev)
-        prev, cur = cur, step.pop()
+        prev, cur = cur, a
     cyc_len = len(order)
     if cyc_len != len(outer):
         return None
@@ -216,7 +251,8 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     # has exactly one of those, to the vertex it was reached from, so
     # only inner vertices, whose edges are all non-cycle, are expanded.
     root = inner[0]
-    parent: dict[int, int] = {}
+    bound = len(adj)
+    parent = [0] * bound  # by id; the certificate's map is built at the end
     bfs = [root]
     seen = {root}
     for v in bfs:
@@ -233,10 +269,10 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     # (e) Arc-contiguity. Rotate the cycle so it starts at a boundary
     # between two root subtrees; valid arcs then never wrap, and a leaf
     # interval is contiguous iff count == max - min + 1.
-    bound = len(adj)
+    below_root = bfs[1:]
     top = [0] * bound
     top[root] = root
-    for v in bfs[1:]:
+    for v in below_root:
         p = parent[v]
         top[v] = v if p == root else top[p]
     boundary = next(
@@ -254,7 +290,7 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
         cnt[w] = 1
     # Children before parents: every subtree is complete when its root
     # is reached.
-    for v in bfs[:0:-1]:
+    for v in reversed(below_root):
         c = cnt[v]
         if c == 0 or c != hi[v] - lo[v] + 1:
             return None  # no leaf below an inner vertex, or a split arc
@@ -264,7 +300,10 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
             lo[p] = lo[v]
         if hi[v] > hi[p]:
             hi[p] = hi[v]
-    return HalinCertificate(frozenset(outer), tuple(order), parent, root)
+    parent_map = _ReadOnlyDict(zip(below_root, map(parent.__getitem__, below_root)))
+    cert = HalinCertificate(frozenset(outer), tuple(order), parent_map, root)
+    g._certified = weakref.ref(cert)
+    return cert
 
 
 def verify_halin(g: Graph, outer: set[int]) -> bool:
@@ -291,7 +330,7 @@ def recognize(g: Graph) -> RecognitionResult:
     # In a Halin graph a vertex joined to all others is the hub of a wheel
     # (any vertex of K4), whose rim is known without reducing.
     adj, residue, trace = src, verts, []
-    if all(len(src[v]) != g.n - 1 for v in verts):
+    if max(map(len, src)) < g.n - 1:
         adj, trace = _reduce(src, verts)
         residue = [v for v in verts if adj[v]]
     # The hub candidates: all four vertices of K4, the one hub of a wheel.
@@ -328,7 +367,7 @@ def _reduce(src: list[set[int]], verts: list[int]) -> tuple[list[set[int]], list
     Returns the reduced adjacency sets (deleted ids have none) and the
     trace, one tuple per rule in the order applied.
     """
-    adj = [set(s) for s in src]
+    adj = list(map(set.copy, src))
     live = len(verts)
     trace: list[tuple[int, ...]] = []
     # Only degree-3 vertices take part in a rule. A rule changes the
@@ -341,15 +380,22 @@ def _reduce(src: list[set[int]], verts: list[int]) -> tuple[list[set[int]], list
         nbrs = adj[x]
         if len(nbrs) != 3:
             continue
-        for y in nbrs:
-            if len(adj[y]) != 3:
+        a, b, c = nbrs
+        # For each neighbour y of x, in set order, with o1 and o2 the other
+        # two: x and y must share exactly one neighbour v, so v is o1 or o2.
+        for y, o1, o2 in ((a, b, c), (b, a, c), (c, a, b)):
+            ny = adj[y]
+            if len(ny) != 3:
                 continue
-            common = nbrs & adj[y]
-            if len(common) != 1:
+            if o1 in ny:
+                if o2 in ny:
+                    continue
+                v, x_out = o1, o2
+            elif o2 in ny:
+                v, x_out = o2, o1
+            else:
                 continue
-            (v,) = common
-            (x_out,) = nbrs - {y, v}
-            (y_out,) = adj[y] - {x, v}
+            y_out = sum(ny) - x - v  # ny is {x, v, y_out}
             if x_out == y_out:
                 continue
             if len(adj[v]) > 3:
@@ -366,7 +412,7 @@ def _reduce(src: list[set[int]], verts: list[int]) -> tuple[list[set[int]], list
                 if len(adj[v]) == 3:
                     stack += (*adj[v], v)
                 break
-            (v_out,) = adj[v] - {x, y}
+            v_out = sum(adj[v]) - x - y  # adj[v] is {x, y, v_out}
             if v_out == x_out or v_out == y_out:
                 continue
             # triangle (x, y, v): y and v are deleted, x joined to y_out, v_out.

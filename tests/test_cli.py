@@ -8,7 +8,13 @@ import pytest
 
 import halin
 from halin.cli import fit_loglog_slope, main
-from halin.io import GraphFormatError, dumps_graph, graph_from_dict, load_graph
+from halin.io import (
+    GraphFormatError,
+    certificate_from_dict,
+    dumps_graph,
+    graph_from_dict,
+    load_graph,
+)
 from halin.generators import make_wheel
 
 
@@ -204,20 +210,58 @@ def _tampered_certificates(tmp_path):
     return graph, docs
 
 
-@pytest.mark.parametrize(
-    "command,doc", [("color", "swapped"), ("peo", "swapped"), ("color", "listed")]
-)
-def test_tampered_certificate_is_format_error(tmp_path, command, doc):
-    graph, docs = _tampered_certificates(tmp_path)
+def _assert_cli_format_error(*args):
+    """Run the CLI in a subprocess; it must exit 2 with a one-line error."""
     src = os.path.dirname(os.path.dirname(halin.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "halin.cli", command, "--in", str(graph),
-         "--certificate", str(docs[doc])],
+        [sys.executable, "-m", "halin.cli", *map(str, args)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command,doc", [("color", "swapped"), ("peo", "swapped"), ("color", "listed")]
+)
+def test_tampered_certificate_is_format_error(tmp_path, command, doc):
+    graph, docs = _tampered_certificates(tmp_path)
+    _assert_cli_format_error(command, "--in", graph, "--certificate", docs[doc])
+
+
+# A Halin graph whose certificate has root 0, outer {2, 4, 5, 6, 7} and
+# cycle order 2, 4, 5, 6, 7, so that coercing ids with int() would read
+# each of these loose documents as the true certificate.
+LOOSE_GRAPH = {
+    "n": 8,
+    "edges": [[0, 1], [0, 3], [0, 7], [1, 2], [1, 4], [3, 5], [3, 6],
+              [2, 4], [4, 5], [5, 6], [6, 7], [2, 7]],
+}
+LOOSE_CERTIFICATES = {
+    "float-root": {"root": 0.7},
+    "bool-parent": {"parent": {"1": 0, "2": True, "3": 0, "4": 1, "5": 3, "6": 3, "7": 0}},
+    "float-outer": {"outer": [2.0, 4, 5, 6, 7]},
+    "string-outer": {"outer": "24567"},
+    "string-cycle-order": {"cycle_order": "24567"},
+    "float-parent-key": {"parent": {"1.0": 0, "2": 1, "3": 0, "4": 1, "5": 3, "6": 3, "7": 0}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOSE_CERTIFICATES))
+def test_loose_certificate_ids_are_format_errors(tmp_path, name):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(LOOSE_GRAPH))
+    cert = tmp_path / "cert.json"
+    assert main(["recognize", "--in", str(graph), "--emit-certificate", str(cert)]) == 0
+    good = json.loads(cert.read_text())
+    assert (good["root"], good["outer"], good["cycle_order"]) == (0, [2, 4, 5, 6, 7], [2, 4, 5, 6, 7])
+    doc = dict(good, **LOOSE_CERTIFICATES[name])
+    with pytest.raises(GraphFormatError):
+        certificate_from_dict(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    _assert_cli_format_error("color", "--in", graph, "--certificate", bad)
 
 
 def test_fit_loglog_slope_closed_form():
@@ -247,11 +291,4 @@ def test_malformed_edges_are_format_errors(tmp_path, name):
         graph_from_dict(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    src = os.path.dirname(os.path.dirname(halin.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "halin.cli", "recognize", "--in", str(path)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    _assert_cli_format_error("recognize", "--in", path)

@@ -9,6 +9,7 @@ from halin import (
     C4,
     ColoringTrace,
     GenSpec,
+    Graph,
     MalformedCertificateError,
     certificate_from_outer,
     color_halin,
@@ -21,7 +22,7 @@ from halin import (
     make_necklace,
     make_wheel,
 )
-from halin.recognition import HalinCertificate
+from halin.recognition import HalinCertificate, check_certificate
 
 
 def _proper(g, colors):
@@ -53,6 +54,33 @@ def test_color_tree_proper_on_tree_edges(seed):
     colors = color_tree(cert)
     for child, parent in cert.parent.items():
         assert colors[child] != colors[parent]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_color_tree_any_parent_order(seed):
+    # A parent map listing children before their parents colors the same.
+    g, outer = make_halin(GenSpec(40 + seed, seed=seed))
+    cert = _cert(g, outer)
+    items = list(cert.parent.items())
+    random.Random(seed).shuffle(items)
+    for parent in (dict(items), dict(reversed(cert.parent.items()))):
+        shuffled = HalinCertificate(cert.outer, cert.cycle_order, parent, cert.root)
+        assert color_tree(shuffled) == color_tree(cert)
+        assert color_halin(g, shuffled) == color_halin(g, cert)
+
+
+def test_parent_cycle_is_malformed():
+    # Every parent pair and cycle pair is an edge and there are no others,
+    # so the edge check passes, but 4 -> 5 -> 6 -> 4 never reaches the root.
+    parent = {1: 0, 2: 0, 3: 0, 7: 4, 8: 5, 9: 6, 4: 5, 5: 6, 6: 4}
+    cyc = (1, 2, 3, 7, 8, 9)
+    g = Graph.from_edges(10, [*parent.items(), *zip(cyc, cyc[1:] + cyc[:1])])
+    cert = HalinCertificate(frozenset(cyc), cyc, parent, 0)
+    check_certificate(g, cert)
+    with pytest.raises(MalformedCertificateError):
+        color_tree(cert)
+    with pytest.raises(MalformedCertificateError):
+        color_halin(g, cert)
 
 
 def test_is_even_wheel():

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -191,3 +191,51 @@ def test_completion_rejects_bad_fill(fill):
     g.remove_vertex(2)
     with pytest.raises(ValueError):
         chordal_completion(g, PeoResult([], {fill}, []))
+
+
+def _verify_peo_pairwise(filled, order):
+    """Reference: every vertex's later neighbors, tested pair by pair."""
+    vs = set(filled.vertices())
+    if len(order) != len(vs) or set(order) != vs:
+        raise ValueError("order is not a permutation of the vertex set")
+    pos = {v: i for i, v in enumerate(order)}
+    for i, v in enumerate(order):
+        later = [w for w in filled.neighbors(v) if pos[w] > i]
+        for a, b in combinations(later, 2):
+            if not filled.has_edge(a, b):
+                return False
+    return True
+
+
+def test_verify_peo_matches_pairwise_reference():
+    rng = random.Random(3)
+    seen = {True: 0, False: 0, ValueError: 0}
+    for variant, sizes in (
+        ("halin", (4, 7, 12, 25)),
+        ("halin_cubic", (4, 8, 12, 26)),
+        ("necklace", (6, 8, 12, 26)),
+        ("wheel", (4, 7, 12, 25)),
+    ):
+        for n in sizes:
+            g, outer = generate(GenSpec(n, variant, seed=n))
+            result = _run(g, outer)
+            comp = chordal_completion(g, result)
+            orders = [result.order]
+            for _ in range(6):
+                swapped = list(result.order)
+                i, j = rng.sample(range(len(swapped)), 2)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                orders.append(swapped)
+                orders.append(rng.sample(result.order, len(result.order)))
+            for graph in (g, comp):
+                for order in orders:
+                    expected = _verify_peo_pairwise(graph, order)
+                    assert verify_peo(graph, order) == expected
+                    seen[expected] += 1
+                for bad in (order[:-1], order + order[:1], order[:-1] + order[:1]):
+                    with pytest.raises(ValueError):
+                        _verify_peo_pairwise(graph, bad)
+                    with pytest.raises(ValueError):
+                        verify_peo(graph, bad)
+                    seen[ValueError] += 1
+    assert min(seen.values()) > 10, seen
