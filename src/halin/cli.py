@@ -23,7 +23,7 @@ from .oracles import (
     chromatic_number_bruteforce,
     is_chordal_bruteforce,
 )
-from .peo import chordal_completion, peo_halin, treewidth_from_peo, verify_peo
+from .peo import chordal_completion, peo_halin, treewidth_from_peo
 from .recognition import HalinCertificate, certificate_from_outer, certify, recognize
 
 _BENCH_VARIANTS = ("halin", "halin-cubic", "necklace", "wheel")
@@ -217,8 +217,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # mode == "peo"
     result = peo_halin(g2, cert)
     completion = chordal_completion(g2, result)
-    valid = verify_peo(completion, result.order)
-    width = treewidth_from_peo(completion, result.order) if valid else None
+    try:
+        width = treewidth_from_peo(completion, result.order)  # runs verify_peo
+    except ValueError:
+        width = None
+    valid = width is not None
     chordal = (
         is_chordal_bruteforce(completion) if g2.n <= MAX_ORACLE_VERTICES else None
     )

@@ -4,13 +4,16 @@ Three colors always suffice except for even wheels, which need four.
 The algorithm 2-colors the inner tree by depth parity and then recolors
 part of the cycle; the recoloring pattern depends on the cycle parity
 and on which tree colors appear on the cycle (four cases). The final
-coloring is re-checked edge by edge, so a wrong pattern fails loudly
-instead of returning an improper coloring.
+coloring is re-checked on every tree and cycle edge of the checked
+certificate, which are exactly the graph's edges, so a wrong pattern
+fails loudly instead of returning an improper coloring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, cycle
+from operator import eq
 
 from .graph import Graph
 from .recognition import HalinCertificate, MalformedCertificateError, check_certificate
@@ -52,18 +55,20 @@ def color_tree(cert: HalinCertificate) -> dict[int, int]:
     """
     parent = cert.parent
     colors = {cert.root: C1}
+    known = colors.get
     for v, p in parent.items():
-        if p not in colors:
+        c = known(p)
+        if c is None:
             path = [v]
             while p not in colors:
                 path.append(p)
                 if len(path) > len(parent):
                     raise MalformedCertificateError("the parent map has a cycle")
                 p = parent[p]
+            c = colors[p]
             for w in reversed(path[1:]):
-                colors[w] = C1 + C2 - colors[p]  # the other tree color
-                p = w
-        colors[v] = C1 + C2 - colors[p]
+                c = colors[w] = C1 + C2 - c  # the other tree color
+        colors[v] = C1 + C2 - c
     return colors
 
 
@@ -127,37 +132,37 @@ def color_halin(
     Case 4: odd cycle all one color - recolor an odd fan or pseudo-fan
         run alternately, give its center C3, and fix the remaining even
         stretch pairwise against the parent colors.
+
+    Raises MalformedCertificateError when ``cert`` does not fit g, or
+    when the result has a monochromatic edge, which it names.
     """
     check_certificate(g, cert)
     colors = color_tree(cert)
     cyc = cert.cycle_order
     length = len(cyc)
 
+    # Every cycle vertex is a key already, so update keeps the key order.
     if length % 2 == 0:
         case = 1
-        for i in range(1, length, 2):
-            colors[cyc[i]] = C3
+        colors.update(dict.fromkeys(cyc[1::2], C3))
     elif is_even_wheel(g, cert):
         case = 2
-        for i in range(length - 1):
-            colors[cyc[i]] = C2 if i % 2 == 0 else C3
+        colors.update(zip(cyc, cycle((C2, C3))))
         colors[cyc[length - 1]] = C4
+    elif len(set(map(colors.__getitem__, cyc))) == 2:  # both tree colors on the cycle
+        case = 3
+        _recolor_two_tone_odd_cycle(colors, cyc)
     else:
-        cycle_colors = {colors[w] for w in cyc}
-        if len(cycle_colors) == 2:
-            case = 3
-            _recolor_two_tone_odd_cycle(colors, cyc)
-        else:
-            case = 4
-            run = find_odd_run(cert)
-            _recolor_monochrome_odd_cycle(colors, cert, run)
-            if trace is not None:
-                trace.odd_run = run
-                trace.runs = cycle_runs(cert)
+        case = 4
+        run = find_odd_run(cert)
+        _recolor_monochrome_odd_cycle(colors, cert, run)
+        if trace is not None:
+            trace.odd_run = run
+            trace.runs = cycle_runs(cert)
 
     if trace is not None:
         trace.case = case
-    _check_proper(g, colors)
+    _check_proper(cert, colors)
     return colors
 
 
@@ -168,11 +173,9 @@ def _recolor_two_tone_odd_cycle(colors: dict[int, int], cyc: tuple[int, ...]) ->
         for i in range(length)
         if colors[cyc[i]] == C1 and colors[cyc[(i + 1) % length]] == C2
     )
-    seq = [cyc[(anchor + j) % length] for j in range(length)]
+    seq = cyc[anchor:] + cyc[:anchor]
     # Keep seq[0], seq[1] (the C1,C2 pair); then C3 every second vertex.
-    colors[seq[2]] = C3
-    for j in range(3, length, 2):
-        colors[seq[j + 1]] = C3
+    colors.update(dict.fromkeys(seq[2::2], C3))
 
 
 def _recolor_monochrome_odd_cycle(
@@ -212,12 +215,24 @@ def _is_true_fan(
     return sum(1 for w in tree_nbrs if w not in cert.outer) == 1
 
 
-def _check_proper(g: Graph, colors: dict[int, int]) -> None:
-    adj = g._adjacency()
-    for u in g.vertices():
-        c = colors[u]
-        for v in adj[u]:
-            if colors[v] == c:
-                raise RuntimeError(
-                    f"internal error: improper coloring, edge ({u}, {v}) got color {c}"
-                )
+def _check_proper(cert: HalinCertificate, colors: dict[int, int]) -> None:
+    """Raise MalformedCertificateError naming a monochromatic edge, if any.
+
+    Tests the n - 1 tree edges and the cycle edges of ``cert``, which
+    ``check_certificate`` (or ``certify``, which built it) proved to be
+    exactly the edges of the graph.
+    """
+    parent = cert.parent
+    cyc = cert.cycle_order
+    color = colors.__getitem__
+    around = list(map(color, cyc))
+    if not (
+        any(map(eq, map(color, parent), map(color, parent.values())))
+        or any(map(eq, around, around[1:] + around[:1]))
+    ):
+        return
+    edges = chain(parent.items(), zip(cyc, cyc[1:] + cyc[:1]))
+    u, v = next((u, v) for u, v in edges if colors[u] == colors[v])
+    raise MalformedCertificateError(
+        f"improper coloring: edge ({u}, {v}) has color {colors[u]} at both ends"
+    )

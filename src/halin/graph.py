@@ -106,10 +106,11 @@ class Graph:
         self._check(v)
         return len(self._adj[v])
 
-    def neighbors(self, v: int) -> set[int]:
-        """Adjacency set of v; treat as read-only."""
+    def neighbors(self, v: int) -> frozenset[int]:
+        """The neighbors of v, as a frozen copy: changing the graph goes
+        through the mutators, which also forget its certified certificate."""
         self._check(v)
-        return self._adj[v]
+        return frozenset(self._adj[v])
 
     def vertices(self) -> Iterator[int]:
         return compress(range(len(self._alive)), self._alive)

@@ -169,10 +169,12 @@ def treewidth_from_peo(filled: Graph, order: list[int]) -> int:
     """Max count of later neighbors over the order; 3 for Halin completions."""
     if not verify_peo(filled, order):
         raise ValueError("order is not a perfect elimination ordering")
-    pos = {v: i for i, v in enumerate(order)}
+    adj = filled._adjacency()
+    done: set[int] = set()
     width = 0
     for v in order:
-        width = max(width, sum(1 for w in filled.neighbors(v) if pos[w] > pos[v]))
+        done.add(v)
+        width = max(width, len(adj[v] - done))
     return width
 
 

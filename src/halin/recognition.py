@@ -7,14 +7,18 @@ until four vertices are left, then undoes the rules on each candidate rim
 of the residue to recover an outer cycle. The outer set is always
 re-checked by ``certify``, which builds the certificate in the same
 pass, so a bad reduction can only cause a rejection, never a wrong
-acceptance.
+acceptance. The same pass proves the graph connected and of minimum
+degree 3, so ``recognize`` tests those only before it rejects.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import compress, filterfalse, islice, repeat
+from operator import and_
+from typing import Iterator
 
 from .graph import Graph
 
@@ -80,8 +84,9 @@ def outer_cycle_order(g: Graph, outer: set[int]) -> list[int]:
     for w in outer:
         if not g.has_vertex(w):
             raise ValueError(f"outer vertex {w} is not in the graph")
+    adj = g._adjacency()
     start = min(outer)
-    first = sorted(g.neighbors(start) & outer)
+    first = sorted(adj[start] & outer)
     if len(first) != 2:
         raise ValueError(f"outer vertex {start} has {len(first)} outer neighbors")
     order = [start]
@@ -90,7 +95,7 @@ def outer_cycle_order(g: Graph, outer: set[int]) -> list[int]:
         order.append(cur)
         if len(order) > len(outer):
             raise ValueError("outer does not induce a single cycle")
-        step = (g.neighbors(cur) & outer) - {prev}
+        step = (adj[cur] & outer) - {prev}
         if len(step) != 1:
             raise ValueError(f"outer vertex {cur} has {len(step) + 1} outer neighbors")
         prev, cur = cur, step.pop()
@@ -111,7 +116,8 @@ def inner_tree(g: Graph, outer: set[int]) -> tuple[dict[int, int], int]:
     if not inner:
         raise MalformedCertificateError("no inner vertex available as tree root")
     root = min(inner)
-    cycle_edges = sum(1 for w in outer if g.has_vertex(w) for z in g.neighbors(w) if z in outer) // 2
+    adj = g._adjacency()
+    cycle_edges = sum(1 for w in outer if g.has_vertex(w) for z in adj[w] if z in outer) // 2
     if g.num_edges() - cycle_edges != g.n - 1:
         raise MalformedCertificateError("non-cycle edges do not form a spanning tree")
     parent: dict[int, int] = {}
@@ -119,7 +125,7 @@ def inner_tree(g: Graph, outer: set[int]) -> tuple[dict[int, int], int]:
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for w in g.neighbors(v):
+        for w in adj[v]:
             if w in seen or (v in outer and w in outer):
                 continue
             seen.add(w)
@@ -198,18 +204,18 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     the outer vertices, (d) with no inner vertex of tree-degree 2, and
     (e) the leaves of every subtree form a contiguous arc of the cycle,
     i.e. the cycle order is realizable by a planar embedding of the tree.
+    So an accepted g is connected and has minimum degree 3.
     The certificate is the one ``certificate_from_outer`` builds, with a
     read-only parent map, and ``check_certificate`` passes it on ``g``
     without a second check until g is changed.
     """
-    outer = set(outer)
+    outer = frozenset(outer)  # the certificate's own set; no copy if frozen
     adj = g._adjacency()
     if len(outer) < 3 or min(outer) < 0 or max(outer) >= len(adj):
         return None
-    # Outer vertices: 2 cycle neighbors + 1 tree parent. Inner vertices
-    # touch no cycle edge, so their tree-degree is their plain degree.
-    # Dead ids have no neighbors, so this also rejects them.
-    if any(len(adj[w]) != 3 for w in outer):
+    # Outer vertices: 2 cycle neighbors + 1 tree parent. Dead ids have no
+    # neighbors, so this also rejects them.
+    if set(map(len, map(adj.__getitem__, outer))) != {3}:
         return None
     # (a) The walk from the smallest outer id toward its smaller outer
     # neighbor, as in outer_cycle_order.
@@ -244,37 +250,41 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     n = g.n
     if g.num_edges() - cyc_len != n - 1:
         return None
-    inner = [v for v in g.vertices() if v not in outer]
-    if not inner or any(len(adj[v]) < 3 for v in inner):
+    # (b) BFS over the non-cycle edges from the smallest inner vertex, as
+    # in inner_tree. An outer vertex has exactly one of those, to the
+    # vertex it was reached from, so only inner vertices, whose edges are
+    # all non-cycle, are expanded. top[v] is the child of the root above v.
+    root = next(filterfalse(outer.__contains__, g.vertices()), None)
+    if root is None:
         return None
-    # (b) BFS over the non-cycle edges, as in inner_tree. An outer vertex
-    # has exactly one of those, to the vertex it was reached from, so
-    # only inner vertices, whose edges are all non-cycle, are expanded.
-    root = inner[0]
     bound = len(adj)
-    parent = [0] * bound  # by id; the certificate's map is built at the end
-    bfs = [root]
-    seen = {root}
-    for v in bfs:
-        if v in outer:
-            continue
+    parent = [-1] * bound  # by id, -1 until reached; the map is built at the end
+    top = [0] * bound
+    parent[root] = root
+    for w in adj[root]:
+        parent[w] = root
+        top[w] = w
+    bfs = [root, *adj[root]]
+    inner = list(filterfalse(outer.__contains__, bfs))  # the expanded vertices
+    for v in islice(inner, 1, None):  # also yields the ones appended below
+        t = top[v]
         for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
+            if parent[w] < 0:
                 parent[w] = v
+                top[w] = t
                 bfs.append(w)
-    if len(seen) != n:
+                if w not in outer:
+                    inner.append(w)
+    if len(bfs) != n:
+        return None
+    # Inner vertices touch no cycle edge, so their tree-degree is their
+    # plain degree.
+    if min(map(len, map(adj.__getitem__, inner))) < 3:
         return None
 
     # (e) Arc-contiguity. Rotate the cycle so it starts at a boundary
     # between two root subtrees; valid arcs then never wrap, and a leaf
     # interval is contiguous iff count == max - min + 1.
-    below_root = bfs[1:]
-    top = [0] * bound
-    top[root] = root
-    for v in below_root:
-        p = parent[v]
-        top[v] = v if p == root else top[p]
     boundary = next(
         (i for i in range(cyc_len) if top[order[i]] != top[order[i - 1]]), None
     )
@@ -284,24 +294,30 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     lo = [cyc_len] * bound
     hi = [-1] * bound
     cnt = [0] * bound
-    for j in range(cyc_len):
-        w = order[(boundary + j) % cyc_len]
-        lo[w] = hi[w] = j
-        cnt[w] = 1
-    # Children before parents: every subtree is complete when its root
-    # is reached.
-    for v in reversed(below_root):
+    # Each leaf is the one-position arc j; it goes straight into its
+    # parent's range. j only grows, so the first leaf sets lo.
+    for j, w in enumerate(order[boundary:] + order[:boundary]):
+        p = parent[w]
+        if not cnt[p]:
+            lo[p] = j
+        cnt[p] += 1
+        hi[p] = j
+    # Inner vertices, children before parents: every subtree is complete
+    # when its root is reached. A vertex with no leaf below fails too, as
+    # then hi - lo + 1 = -cyc_len.
+    for v in reversed(inner[1:]):
         c = cnt[v]
-        if c == 0 or c != hi[v] - lo[v] + 1:
-            return None  # no leaf below an inner vertex, or a split arc
+        if c != hi[v] - lo[v] + 1:
+            return None
         p = parent[v]
         cnt[p] += c
         if lo[v] < lo[p]:
             lo[p] = lo[v]
         if hi[v] > hi[p]:
             hi[p] = hi[v]
+    below_root = bfs[1:]
     parent_map = _ReadOnlyDict(zip(below_root, map(parent.__getitem__, below_root)))
-    cert = HalinCertificate(frozenset(outer), tuple(order), parent_map, root)
+    cert = HalinCertificate(outer, tuple(order), parent_map, root)
     g._certified = weakref.ref(cert)
     return cert
 
@@ -317,30 +333,36 @@ def recognize(g: Graph) -> RecognitionResult:
 
     On acceptance the certificate is the one ``certify`` builds for the
     recovered outer set; on rejection the result carries a reason code.
+    ``certify`` proves connectivity and minimum degree 3 of what it
+    accepts, so those two checks run only on the way to a rejection,
+    first connectivity, then degree, which picks the reason code.
     """
+    n = g.n
+    src = g._adjacency()
+    hubs: list[int] = []
+    if n >= 4:
+        verts = list(g.vertices())
+        # In a Halin graph a vertex joined to all others is the hub of a
+        # wheel (any vertex of K4), whose rim is known without reducing.
+        adj, residue, trace = src, verts, []
+        if max(map(len, src)) < n - 1:
+            adj, trace = _reduce(src, verts)
+            residue = list(filter(adj.__getitem__, verts))  # ids with neighbours
+        # The hub candidates: all four vertices of K4, the one hub of a wheel.
+        joined_to_all = map((len(residue) - 1).__eq__, map(len, map(adj.__getitem__, residue)))
+        hubs = list(compress(residue, joined_to_all))
+        if len(residue) > 4 and len(hubs) > 1:
+            hubs = []
+        # Every Halin outer cycle has m - n + 1 vertices.
+        size = g.num_edges() - n + 1
+        for outer in _rims(residue, hubs, trace, len(src), size):
+            cert = certify(g, outer)
+            if cert is not None:
+                return RecognitionResult(cert, None)
     if not g.is_connected():
         return RecognitionResult(None, REASON_DISCONNECTED)
-    src = g._adjacency()
-    verts = list(g.vertices())
-    if any(len(src[v]) < 3 for v in verts):
+    if any(len(src[v]) < 3 for v in g.vertices()):
         return RecognitionResult(None, REASON_LOW_DEGREE)
-    if g.n < 4:
-        return RecognitionResult(None, REASON_STUCK)
-
-    # In a Halin graph a vertex joined to all others is the hub of a wheel
-    # (any vertex of K4), whose rim is known without reducing.
-    adj, residue, trace = src, verts, []
-    if max(map(len, src)) < g.n - 1:
-        adj, trace = _reduce(src, verts)
-        residue = [v for v in verts if adj[v]]
-    # The hub candidates: all four vertices of K4, the one hub of a wheel.
-    hubs = [v for v in residue if len(adj[v]) == len(residue) - 1]
-    if len(residue) > 4 and len(hubs) > 1:
-        hubs = []
-    for hub in hubs:
-        cert = certify(g, _expand(set(residue) - {hub}, trace))
-        if cert is not None:
-            return RecognitionResult(cert, None)
     return RecognitionResult(None, REASON_VERIFY_FAILED if hubs else REASON_STUCK)
 
 
@@ -381,24 +403,26 @@ def _reduce(src: list[set[int]], verts: list[int]) -> tuple[list[set[int]], list
         if len(nbrs) != 3:
             continue
         a, b, c = nbrs
+        na = adj[a]
+        ab = b in na
+        ac = c in na
+        bc = c in adj[b]
+        if not (ab or ac or bc):
+            continue  # x lies on no triangle
         # For each neighbour y of x, in set order, with o1 and o2 the other
         # two: x and y must share exactly one neighbour v, so v is o1 or o2.
-        for y, o1, o2 in ((a, b, c), (b, a, c), (c, a, b)):
+        for y, o1, o2, in1, in2 in ((a, b, c, ab, ac), (b, a, c, ab, bc), (c, a, b, ac, bc)):
+            if in1 == in2:
+                continue
             ny = adj[y]
             if len(ny) != 3:
                 continue
-            if o1 in ny:
-                if o2 in ny:
-                    continue
-                v, x_out = o1, o2
-            elif o2 in ny:
-                v, x_out = o2, o1
-            else:
-                continue
+            v, x_out = (o1, o2) if in1 else (o2, o1)
             y_out = sum(ny) - x - v  # ny is {x, v, y_out}
             if x_out == y_out:
                 continue
-            if len(adj[v]) > 3:
+            v_deg = len(adj[v])
+            if v_deg > 3:
                 # merge (x, y): y is deleted, x joined to y_out.
                 adj[v].discard(y)
                 adj[y_out].discard(y)
@@ -412,6 +436,8 @@ def _reduce(src: list[set[int]], verts: list[int]) -> tuple[list[set[int]], list
                 if len(adj[v]) == 3:
                     stack += (*adj[v], v)
                 break
+            if v_deg < 3:
+                continue  # v is a degree-2 vertex, so g is not Halin
             v_out = sum(adj[v]) - x - y  # adj[v] is {x, y, v_out}
             if v_out == x_out or v_out == y_out:
                 continue
@@ -431,20 +457,42 @@ def _reduce(src: list[set[int]], verts: list[int]) -> tuple[list[set[int]], list
     return adj, trace
 
 
-def _expand(rim: set[int], trace: list[tuple[int, ...]]) -> set[int]:
-    """Undo the rules of ``trace``, last first, on the rim of the residue."""
-    out = set(rim)
+def _rims(
+    residue: list[int], hubs: list[int], trace: list[tuple[int, ...]], bound: int, size: int
+) -> Iterator[frozenset[int]]:
+    """The rim of the residue around each hub in turn, with the rules of
+    ``trace`` undone, last first; only rims of ``size`` vertices.
+
+    One pass over the trace serves every hub: bit i of ``mask[v]`` says
+    that v is on the rim around hub i.
+    """
+    if not hubs:
+        return
+    if not trace:
+        rest = frozenset(residue)
+        if len(rest) - 1 == size:
+            for hub in hubs:
+                yield rest - {hub}
+        return
+    full = (1 << len(hubs)) - 1
+    mask = [0] * bound
+    for v in residue:
+        mask[v] = full
+    for i, hub in enumerate(hubs):
+        mask[hub] = full ^ (1 << i)
     for step in reversed(trace):
         if len(step) == 2:
             x, y = step
-            if x in out:
-                out.add(y)
+            mask[y] = mask[x]  # y was a leaf exactly where x is one
         else:
-            x, y, v, x_out, y_out, v_out = step
             # Each of x, y, v is a leaf exactly when its outside neighbour
             # is on the rim; the centre's is its parent, an inner vertex.
-            out.discard(x)
-            for w, w_out in ((x, x_out), (y, y_out), (v, v_out)):
-                if w_out in out:
-                    out.add(w)
-    return out
+            x, y, v, x_out, y_out, v_out = step
+            mask[x] = mask[x_out]
+            mask[y] = mask[y_out]
+            mask[v] = mask[v_out]
+    counts = Counter(mask)
+    for i in range(len(hubs)):
+        bit = 1 << i
+        if sum(c for m, c in counts.items() if m & bit) == size:
+            yield frozenset(compress(range(bound), map(and_, mask, repeat(bit))))

@@ -125,3 +125,21 @@ def test_certified_graph_pickles_without_its_record():
     assert h._certified is None
     assert sorted(h.edges()) == sorted(g.edges())
     assert color_halin(h, cert) == color_halin(g, cert)
+
+
+def test_neighbors_cannot_change_the_graph():
+    # Adding to the set neighbors returned used to add an edge behind the
+    # mutators, so the check of the recorded certificate was skipped on a
+    # graph it no longer described.
+    g, cert = _certified()
+    m = g.num_edges()
+    inner = sorted(set(g.vertices()) - cert.outer)
+    u, v = next((a, b) for a in inner for b in inner if a < b and not g.has_edge(a, b))
+    with pytest.raises(AttributeError):
+        g.neighbors(u).add(v)
+    with pytest.raises(AttributeError):
+        g.neighbors(v).add(u)
+    assert g.num_edges() == m and not g.has_edge(u, v)
+    assert isinstance(g.neighbors(u), frozenset)
+    assert g.neighbors(u) == set(g._adjacency()[u])
+    check_certificate(g, cert)

@@ -163,6 +163,27 @@ def test_verify_modes(tmp_path, capsys, mode):
         assert _out(capsys)["ok"] is True
 
 
+def test_verify_peo_mode_checks_the_order_once(tmp_path, capsys, monkeypatch):
+    import halin.peo
+
+    calls = []
+    verify_peo = halin.peo.verify_peo
+
+    def counted(filled, order):
+        calls.append(len(order))
+        return verify_peo(filled, order)
+
+    monkeypatch.setattr(halin.peo, "verify_peo", counted)
+    monkeypatch.setattr(halin.cli, "verify_peo", counted, raising=False)
+    graph = tmp_path / "g.json"
+    main(["generate", "--variant", "halin", "--n", "30", "--seed", "2", "--out", str(graph)])
+    capsys.readouterr()
+    assert main(["verify", "--in", str(graph), "--mode", "peo"]) == 0
+    out = _out(capsys)
+    assert out["peo_valid"] is True and out["treewidth"] == 3
+    assert calls == [30]
+
+
 def test_bench_empty_schedule(capsys):
     assert main(["bench", "--algorithm", "color", "--sizes", ""]) == 0
     report = _out(capsys)

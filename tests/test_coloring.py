@@ -22,6 +22,7 @@ from halin import (
     make_necklace,
     make_wheel,
 )
+from halin.coloring import _check_proper
 from halin.recognition import HalinCertificate, check_certificate
 
 
@@ -217,3 +218,19 @@ def test_malformed_certificate_rejected():
     )
     with pytest.raises(MalformedCertificateError):
         color_halin(g, short)
+
+
+def test_improper_coloring_names_the_edge():
+    # _check_proper sees only the certificate's edges, which the check of
+    # the certificate proved to be all of the graph's edges.
+    g, outer = make_wheel(7)
+    cert = _cert(g, outer)
+    colors = color_halin(g, cert)
+    _check_proper(cert, colors)
+    u, v = cert.cycle_order[:2]
+    with pytest.raises(MalformedCertificateError, match=rf"edge \({u}, {v}\) has color {colors[v]}"):
+        _check_proper(cert, colors | {u: colors[v]})
+    hub = cert.root
+    leaf = cert.cycle_order[3]
+    with pytest.raises(MalformedCertificateError, match=rf"edge \({leaf}, {hub}\) has color {colors[hub]}"):
+        _check_proper(cert, colors | {leaf: colors[hub]})

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from halin.recognition import (
     REASON_LOW_DEGREE,
     REASON_STUCK,
     HalinCertificate,
+    _reduce,
     check_certificate,
 )
 
@@ -284,3 +286,64 @@ def test_check_certificate_rejects_each_broken_condition():
     for message, order, par, root in broken:
         with pytest.raises(MalformedCertificateError, match=message):
             check_certificate(g, HalinCertificate(cert.outer, order, par, root))
+
+
+# exhaustive agreement at small n, and the order of the rejection reasons
+
+
+def _min_degree_3_graphs(n):
+    """Every labelled graph on n vertices with minimum degree >= 3."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
+        deg = [0] * n
+        for a, b in edges:
+            deg[a] += 1
+            deg[b] += 1
+        if min(deg) >= 3:
+            yield Graph.from_edges(n, edges)
+
+
+def test_recognize_agrees_with_bruteforce_on_every_small_graph():
+    counts = {}
+    for n in range(4, 7):
+        graphs = list(_min_degree_3_graphs(n))
+        accepted = [recognize(g).is_halin for g in graphs]
+        assert accepted == [is_halin_bruteforce(g) for g in graphs]
+        counts[n] = (sum(accepted), len(graphs))
+    # (Halin, checked) per n. The labelled Halin graphs are K4; the 15
+    # wheels on 5 vertices; on 6, the 72 wheels and the 60 prisms.
+    assert counts == {4: (1, 1), 5: (15, 26), 6: (132, 1858)}
+
+
+def _disjoint_union(*graphs):
+    out, shift = [], 0
+    for g in graphs:
+        out += [(u + shift, v + shift) for u, v in g.edges()]
+        shift += g.id_bound
+    return Graph.from_edges(shift, out)
+
+
+def test_rejection_reasons_keep_their_order():
+    g, _ = generate(GenSpec(20, "halin", seed=4))
+    h, _ = generate(GenSpec(12, "halin_cubic", seed=5))
+    assert recognize(g).is_halin and recognize(h).is_halin
+    isolated = g.copy()
+    isolated.add_vertex()
+    assert recognize(isolated).reason == REASON_DISCONNECTED
+    assert recognize(_disjoint_union(g, h)).reason == REASON_DISCONNECTED
+    pendant = g.copy()
+    pendant.add_edge(0, pendant.add_vertex())
+    assert recognize(pendant).reason == REASON_LOW_DEGREE
+
+
+def test_reduce_leaves_a_degree_2_triangle_corner_alone():
+    # recognize reduces before it tests degrees, so a triangle rule must
+    # not fire on the triangle 0, 1, 2 whose corner 2 has degree 2.
+    g = Graph.from_edges(
+        7, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (3, 4), (3, 5), (4, 5), (5, 6), (3, 6), (4, 6)]
+    )
+    adj, trace = _reduce(g._adjacency(), list(g.vertices()))
+    assert trace == []
+    assert all(v not in adj[v] for v in g.vertices())
+    assert recognize(g).reason == REASON_LOW_DEGREE
