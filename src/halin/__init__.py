@@ -45,8 +45,6 @@ from .recognition import (
     MalformedCertificateError,
     RecognitionResult,
     certificate_from_outer,
-    inner_tree,
-    outer_cycle_order,
     recognize,
     verify_halin,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "dumps_graph",
     "find_odd_run",
     "generate",
-    "inner_tree",
     "is_chordal_bruteforce",
     "is_even_wheel",
     "load_graph",
@@ -85,7 +82,6 @@ __all__ = [
     "make_halin_cubic",
     "make_necklace",
     "make_wheel",
-    "outer_cycle_order",
     "peo_halin",
     "recognize",
     "replay_trace",

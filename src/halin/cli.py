@@ -24,7 +24,13 @@ from .oracles import (
     is_chordal_bruteforce,
 )
 from .peo import chordal_completion, peo_halin, treewidth_from_peo
-from .recognition import HalinCertificate, certificate_from_outer, certify, recognize
+from .recognition import (
+    HalinCertificate,
+    certificate_from_outer,
+    certify,
+    check_certificate,
+    recognize,
+)
 
 _BENCH_VARIANTS = ("halin", "halin-cubic", "necklace", "wheel")
 
@@ -115,20 +121,16 @@ def _load_with_certificate(
 ) -> tuple[Graph, HalinCertificate | None, str | None]:
     """Graph plus a certificate, recognizing when none was supplied.
 
-    Of a supplied certificate only the outer set is trusted: the
-    certificate is rebuilt from it, and it is a format error when that
-    outer set does not certify the graph or the document's other fields
-    differ from the rebuilt ones. An "outer" field in the graph file is
-    used when it certifies, otherwise recognition runs from scratch.
+    A supplied certificate goes through ``check_certificate``: it is a
+    MalformedCertificateError, a ValueError, when its outer set does not
+    certify the graph or the document's other fields differ from the
+    ones derived from it. An "outer" field in the graph file is used when
+    it certifies, otherwise recognition runs from scratch.
     Returns (graph, certificate, reason).
     """
     g, outer = gio.load_graph(infile)
     if cert_in:
-        supplied = gio.load_certificate(cert_in)
-        cert = certify(g, supplied.outer)
-        if cert != supplied:
-            raise gio.GraphFormatError("certificate does not match the graph")
-        return g, cert, None
+        return g, check_certificate(g, gio.load_certificate(cert_in)), None
     if outer is not None:
         cert = certify(g, outer)
         if cert is not None:

@@ -3,8 +3,10 @@
 Three colors always suffice except for even wheels, which need four.
 The algorithm 2-colors the inner tree by depth parity and then recolors
 part of the cycle; the recoloring pattern depends on the cycle parity
-and on which tree colors appear on the cycle (four cases). The final
-coloring is re-checked on every tree and cycle edge of the checked
+and on which tree colors appear on the cycle (four cases). It runs on
+the certificate ``check_certificate`` returns: the one ``certify``
+derives from the given certificate's outer set, which must equal it.
+The final coloring is re-checked on every tree and cycle edge of that
 certificate, which are exactly the graph's edges, so a wrong pattern
 fails loudly instead of returning an improper coloring.
 """
@@ -133,10 +135,11 @@ def color_halin(
         run alternately, give its center C3, and fix the remaining even
         stretch pairwise against the parent colors.
 
-    Raises MalformedCertificateError when ``cert`` does not fit g, or
-    when the result has a monochromatic edge, which it names.
+    Raises MalformedCertificateError when ``cert`` is not the certificate
+    ``certify`` derives from its outer set on g, or when the result has a
+    monochromatic edge, which it names.
     """
-    check_certificate(g, cert)
+    cert = check_certificate(g, cert)
     colors = color_tree(cert)
     cyc = cert.cycle_order
     length = len(cyc)
@@ -219,8 +222,8 @@ def _check_proper(cert: HalinCertificate, colors: dict[int, int]) -> None:
     """Raise MalformedCertificateError naming a monochromatic edge, if any.
 
     Tests the n - 1 tree edges and the cycle edges of ``cert``, which
-    ``check_certificate`` (or ``certify``, which built it) proved to be
-    exactly the edges of the graph.
+    ``certify``, which built it, proved to be exactly the edges of the
+    graph.
     """
     parent = cert.parent
     cyc = cert.cycle_order

@@ -6,7 +6,10 @@ one center after completing their 4-clique with one fill edge; R2
 removes a center left with exactly two cycle children by filling both
 toward its third neighbor, which inherits the children. The eliminated
 vertices, in order, followed by the K4 residue give a PEO of the graph
-plus fills.
+plus fills. The rules run on the certificate ``check_certificate``
+returns: the one ``certify`` derives from the given certificate's outer
+set, which must equal it, so they only ever see a true Halin
+decomposition.
 """
 
 from __future__ import annotations
@@ -46,13 +49,14 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
     Walks the cycle with a cursor over a linked list, applying R1 to the
     first applicable triple from the cursor and R2 to exhausted
     two-vertex fans, until only a K4 remains; its vertices are appended
-    in ascending id order. Raises MalformedCertificateError unless the
-    certificate's cycle and tree edges are exactly the edges of g, so the
+    in ascending id order. Raises MalformedCertificateError unless
+    ``cert`` is the certificate ``certify`` derives from its outer set on
+    g, whose cycle and tree edges are exactly the edges of g, so the
     reduction runs on the certificate alone and never copies the graph.
     The loop records only the trace; order and fills are read off it by
     the pass that ``replay_trace`` uses.
     """
-    check_certificate(g, cert)
+    cert = check_certificate(g, cert)
     cyc = cert.cycle_order
     parent = cert.parent
     clen = len(cyc)

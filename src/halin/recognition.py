@@ -9,12 +9,17 @@ re-checked by ``certify``, which builds the certificate in the same
 pass, so a bad reduction can only cause a rejection, never a wrong
 acceptance. The same pass proves the graph connected and of minimum
 degree 3, so ``recognize`` tests those only before it rejects.
+
+``certify`` is the only code that builds or validates a certificate.
+Every certificate is derived from its outer set: ``certificate_from_outer``
+is ``certify`` that raises, and ``check_certificate`` is ``certify`` on
+the certificate's outer set plus an equality test.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, filterfalse, islice, repeat
 from operator import and_
@@ -53,6 +58,12 @@ class HalinCertificate:
     ``cycle_order`` lists the outer vertices in cyclic order; ``parent``
     maps every vertex except ``root`` to its tree parent, and the tree
     edges are exactly the non-cycle edges of the graph.
+
+    A checked certificate is in one canonical form, fixed by ``outer``:
+    ``cycle_order`` starts at the smallest outer id and walks toward its
+    smaller outer neighbour, ``root`` is the smallest inner vertex, and
+    ``parent`` lists the vertices in the BFS order of the tree from the
+    root.
     """
 
     outer: frozenset[int]
@@ -71,128 +82,44 @@ class RecognitionResult:
         return self.certificate is not None
 
 
-def outer_cycle_order(g: Graph, outer: set[int]) -> list[int]:
-    """Cyclic order of the outer vertices, or ValueError if they do not
-    induce a single chordless cycle.
-
-    Starts at the smallest outer id and walks toward its smaller
-    outer-neighbor, so the order is deterministic.
-    """
-    outer = set(outer)
-    if len(outer) < 3:
-        raise ValueError("an outer cycle needs at least 3 vertices")
-    for w in outer:
-        if not g.has_vertex(w):
-            raise ValueError(f"outer vertex {w} is not in the graph")
-    adj = g._adjacency()
-    start = min(outer)
-    first = sorted(adj[start] & outer)
-    if len(first) != 2:
-        raise ValueError(f"outer vertex {start} has {len(first)} outer neighbors")
-    order = [start]
-    prev, cur = start, first[0]
-    while cur != start:
-        order.append(cur)
-        if len(order) > len(outer):
-            raise ValueError("outer does not induce a single cycle")
-        step = (adj[cur] & outer) - {prev}
-        if len(step) != 1:
-            raise ValueError(f"outer vertex {cur} has {len(step) + 1} outer neighbors")
-        prev, cur = cur, step.pop()
-    if len(order) != len(outer):
-        raise ValueError("outer does not induce a single cycle")
-    return order
-
-
-def inner_tree(g: Graph, outer: set[int]) -> tuple[dict[int, int], int]:
-    """Parent map and root of the inner tree, by BFS over non-cycle edges.
-
-    The root is the smallest inner vertex (the hub, for a wheel). Raises
-    MalformedCertificateError when the non-cycle edges fail to form a
-    spanning tree.
-    """
-    outer = set(outer)
-    inner = [v for v in g.vertices() if v not in outer]
-    if not inner:
-        raise MalformedCertificateError("no inner vertex available as tree root")
-    root = min(inner)
-    adj = g._adjacency()
-    cycle_edges = sum(1 for w in outer if g.has_vertex(w) for z in adj[w] if z in outer) // 2
-    if g.num_edges() - cycle_edges != g.n - 1:
-        raise MalformedCertificateError("non-cycle edges do not form a spanning tree")
-    parent: dict[int, int] = {}
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w in seen or (v in outer and w in outer):
-                continue
-            seen.add(w)
-            parent[w] = v
-            queue.append(w)
-    if len(seen) != g.n:
-        raise MalformedCertificateError("non-cycle edges do not span the graph")
-    return parent, root
-
-
 def certificate_from_outer(g: Graph, outer: set[int]) -> HalinCertificate:
-    """Build the full certificate for a graph with a known outer set."""
-    try:
-        order = outer_cycle_order(g, outer)
-    except ValueError as exc:
-        raise MalformedCertificateError(str(exc)) from None
-    parent, root = inner_tree(g, outer)
-    return HalinCertificate(frozenset(outer), tuple(order), parent, root)
+    """The certificate ``certify`` builds for ``outer`` on ``g``.
+
+    Raises MalformedCertificateError on any outer set that fails
+    conditions (a)-(e) of ``certify``. Like every certificate ``certify``
+    builds, the result is recorded on ``g``, so ``check_certificate``
+    passes it without a second check until g is changed.
+    """
+    cert = certify(g, outer)
+    if cert is None:
+        raise MalformedCertificateError("outer is not the outer cycle of a Halin decomposition")
+    return cert
 
 
-def check_certificate(g: Graph, cert: HalinCertificate) -> None:
-    """Raise MalformedCertificateError unless the cycle and tree edges of
-    ``cert`` are exactly the edges of ``g``.
+def check_certificate(g: Graph, cert: HalinCertificate) -> HalinCertificate:
+    """The certificate ``certify`` builds from ``cert.outer``, if it
+    equals ``cert``; the guard in front of coloring and elimination.
 
-    The O(n) guard in front of coloring and elimination: the root is a
-    live inner vertex, ``cycle_order`` is a permutation of ``outer`` whose
-    consecutive pairs are edges, every other vertex has a parent joined to
-    it by an edge, no parent is an outer vertex and no two vertices are
-    each other's parent, and g has no edge beyond these. It does not check
-    that the parent map is connected or that g is Halin; ``certify`` does.
+    Raises MalformedCertificateError when the outer set fails ``certify``,
+    or naming the first field of ``cert`` that differs from the one
+    derived from its outer set. Callers go on with the returned object.
 
-    Returns at once, without checking, when ``cert`` is the very object
-    ``certify`` last built for ``g`` and no vertex or edge of g has been
-    added or removed since. Such a certificate is immutable (a frozen
-    dataclass whose parent map refuses writes), so it still describes g.
-    An equal certificate built any other way is checked in full.
+    Returns ``cert`` at once, without checking, when it is the very
+    object ``certify`` last built for ``g`` and no vertex or edge of g has
+    been added or removed since. Such a certificate is immutable (a
+    frozen dataclass whose parent map refuses writes), so it still
+    describes g. An equal certificate built any other way is checked in
+    full.
     """
     if g._certified is not None and g._certified() is cert:
-        return
-    outer = cert.outer
-    cyc = cert.cycle_order
-    parent = cert.parent
-    if not g.has_vertex(cert.root) or cert.root in outer:
-        raise MalformedCertificateError("root must be a live inner vertex")
-    if len(cyc) < 3:
-        raise MalformedCertificateError("outer cycle needs at least 3 vertices")
-    if len(cyc) != len(outer) or set(cyc) != outer:
-        raise MalformedCertificateError("cycle_order is not a permutation of outer")
-    if len(parent) != g.n - 1 or cert.root in parent:
-        raise MalformedCertificateError("parent map must cover all vertices except the root")
-    adj = g._adjacency()
-    # With the ids in range, a dead id fails the edge tests: it has no
-    # neighbors, and it is nobody's neighbor.
-    if min(outer) < 0 or max(outer) >= len(adj):
-        raise MalformedCertificateError("vertex id out of range")
-    for i, w in enumerate(cyc):
-        if cyc[i - 1] not in adj[w]:
+        return cert
+    built = certificate_from_outer(g, cert.outer)
+    for name in ("outer", "root", "cycle_order", "parent"):
+        if getattr(cert, name) != getattr(built, name):
             raise MalformedCertificateError(
-                f"cycle_order pair ({cyc[i - 1]}, {w}) is not an edge of the graph"
+                f"{name} differs from the one certify derives from the outer set"
             )
-    if min(parent) < 0 or max(parent) >= len(adj):
-        raise MalformedCertificateError("vertex id out of range")
-    for v, p in parent.items():
-        if p not in adj[v] or p in outer or parent.get(p) == v:
-            raise MalformedCertificateError(f"parent pair ({v}, {p}) is not a tree edge")
-    if g.num_edges() != g.n - 1 + len(cyc):
-        raise MalformedCertificateError("the graph has edges outside the cycle and the tree")
+    return built
 
 
 def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
@@ -205,9 +132,9 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     (e) the leaves of every subtree form a contiguous arc of the cycle,
     i.e. the cycle order is realizable by a planar embedding of the tree.
     So an accepted g is connected and has minimum degree 3.
-    The certificate is the one ``certificate_from_outer`` builds, with a
-    read-only parent map, and ``check_certificate`` passes it on ``g``
-    without a second check until g is changed.
+    The certificate is in the canonical form ``HalinCertificate``
+    describes, with a read-only parent map, and ``check_certificate``
+    passes it on ``g`` without a second check until g is changed.
     """
     outer = frozenset(outer)  # the certificate's own set; no copy if frozen
     adj = g._adjacency()
@@ -218,7 +145,7 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     if set(map(len, map(adj.__getitem__, outer))) != {3}:
         return None
     # (a) The walk from the smallest outer id toward its smaller outer
-    # neighbor, as in outer_cycle_order.
+    # neighbor.
     start = min(outer)
     first = sorted(adj[start] & outer)
     if len(first) != 2:
@@ -250,10 +177,10 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     n = g.n
     if g.num_edges() - cyc_len != n - 1:
         return None
-    # (b) BFS over the non-cycle edges from the smallest inner vertex, as
-    # in inner_tree. An outer vertex has exactly one of those, to the
-    # vertex it was reached from, so only inner vertices, whose edges are
-    # all non-cycle, are expanded. top[v] is the child of the root above v.
+    # (b) BFS over the non-cycle edges from the smallest inner vertex. An
+    # outer vertex has exactly one of those, to the vertex it was reached
+    # from, so only inner vertices, whose edges are all non-cycle, are
+    # expanded. top[v] is the child of the root above v.
     root = next(filterfalse(outer.__contains__, g.vertices()), None)
     if root is None:
         return None
@@ -335,13 +262,17 @@ def recognize(g: Graph) -> RecognitionResult:
     recovered outer set; on rejection the result carries a reason code.
     ``certify`` proves connectivity and minimum degree 3 of what it
     accepts, so those two checks run only on the way to a rejection,
-    first connectivity, then degree, which picks the reason code.
+    first connectivity, then degree, which picks the reason code. One
+    minimum-degree pass sends an input with a vertex of degree below 3
+    to that path without reducing it.
     """
     n = g.n
     src = g._adjacency()
     hubs: list[int] = []
-    if n >= 4:
-        verts = list(g.vertices())
+    verts = list(g.vertices())
+    # A Halin graph has at least four vertices, each of degree 3 or more;
+    # any other input goes straight to the rejection path.
+    if n >= 4 and min(map(len, map(src.__getitem__, verts))) >= 3:
         # In a Halin graph a vertex joined to all others is the hub of a
         # wheel (any vertex of K4), whose rim is known without reducing.
         adj, residue, trace = src, verts, []
@@ -361,7 +292,7 @@ def recognize(g: Graph) -> RecognitionResult:
                 return RecognitionResult(cert, None)
     if not g.is_connected():
         return RecognitionResult(None, REASON_DISCONNECTED)
-    if any(len(src[v]) < 3 for v in g.vertices()):
+    if any(len(src[v]) < 3 for v in verts):
         return RecognitionResult(None, REASON_LOW_DEGREE)
     return RecognitionResult(None, REASON_VERIFY_FAILED if hubs else REASON_STUCK)
 
@@ -370,10 +301,11 @@ def _reduce(src: list[set[int]], verts: list[int]) -> tuple[list[set[int]], list
     """Apply the merge and triangle rules to a copy of ``src`` until four
     vertices are left or no rule applies.
 
-    ``verts`` are the live ids in ascending order. In a Halin graph with
-    more than four vertices every triangle is an inner vertex (the centre)
-    plus two consecutive leaves, so each rule turns a Halin graph into a
-    smaller one in which the kept vertex x is a leaf:
+    ``verts`` are the live ids in ascending order, each of degree 3 or
+    more, and no rule lowers a degree. In a Halin graph with more than
+    four vertices every triangle is an inner vertex (the centre) plus two
+    consecutive leaves, so each rule turns a Halin graph into a smaller
+    one in which the kept vertex x is a leaf:
 
     - merge (x, y): x and y have degree 3, are adjacent and share exactly
       one neighbour v, of degree at least 4, and their third neighbours
@@ -421,8 +353,7 @@ def _reduce(src: list[set[int]], verts: list[int]) -> tuple[list[set[int]], list
             y_out = sum(ny) - x - v  # ny is {x, v, y_out}
             if x_out == y_out:
                 continue
-            v_deg = len(adj[v])
-            if v_deg > 3:
+            if len(adj[v]) > 3:
                 # merge (x, y): y is deleted, x joined to y_out.
                 adj[v].discard(y)
                 adj[y_out].discard(y)
@@ -436,8 +367,6 @@ def _reduce(src: list[set[int]], verts: list[int]) -> tuple[list[set[int]], list
                 if len(adj[v]) == 3:
                     stack += (*adj[v], v)
                 break
-            if v_deg < 3:
-                continue  # v is a degree-2 vertex, so g is not Halin
             v_out = sum(adj[v]) - x - y  # adj[v] is {x, y, v_out}
             if v_out == x_out or v_out == y_out:
                 continue

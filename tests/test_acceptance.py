@@ -20,7 +20,6 @@ from halin import (
     is_even_wheel,
     make_necklace,
     make_wheel,
-    outer_cycle_order,
     peo_halin,
     recognize,
     treewidth_from_peo,
@@ -28,6 +27,7 @@ from halin import (
     verify_peo,
 )
 from halin.cli import run_bench
+from halin.recognition import certify
 
 PER_VARIANT = 1000
 SIZE_RANGE = (4, 500)
@@ -194,7 +194,7 @@ def test_criterion_5_recognition_round_trip():
         if variant == "halin_cubic" and n % 2:
             n += 1
         g, outer = generate(GenSpec(n, variant, seed=5000 + i))
-        order = outer_cycle_order(g, outer)
+        order = certify(g, outer).cycle_order
 
         cut = g.copy()  # cycle-edge deletion leaves a degree-2 vertex
         j = rng.randrange(len(order))

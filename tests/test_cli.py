@@ -213,7 +213,7 @@ def test_usage_error_exit_code():
 
 
 def _tampered_certificates(tmp_path):
-    """A graph file and three tampered certificate documents for it."""
+    """A graph file and four tampered certificate documents for it."""
     graph = tmp_path / "g.json"
     cert = tmp_path / "cert.json"
     main(["generate", "--variant", "halin", "--n", "20", "--seed", "3", "--out", str(graph)])
@@ -224,8 +224,13 @@ def _tampered_certificates(tmp_path):
     cyc[1], cyc[2] = cyc[2], cyc[1]
     swapped["cycle_order"] = cyc
     listed = dict(good, parent=list(good["parent"].values()))
+    # The same cycle from another start or in the other direction.
+    rotated = dict(good, cycle_order=good["cycle_order"][3:] + good["cycle_order"][:3])
+    reversed_ = dict(good, cycle_order=good["cycle_order"][::-1])
     docs = {}
-    for name, doc in (("swapped", swapped), ("listed", listed)):
+    for name, doc in (
+        ("swapped", swapped), ("listed", listed), ("rotated", rotated), ("reversed", reversed_)
+    ):
         docs[name] = tmp_path / f"{name}.json"
         docs[name].write_text(json.dumps(doc))
     return graph, docs
@@ -244,7 +249,11 @@ def _assert_cli_format_error(*args):
 
 
 @pytest.mark.parametrize(
-    "command,doc", [("color", "swapped"), ("peo", "swapped"), ("color", "listed")]
+    "command,doc",
+    [
+        ("color", "swapped"), ("peo", "swapped"), ("color", "listed"),
+        ("color", "rotated"), ("peo", "rotated"), ("color", "reversed"), ("peo", "reversed"),
+    ],
 )
 def test_tampered_certificate_is_format_error(tmp_path, command, doc):
     graph, docs = _tampered_certificates(tmp_path)

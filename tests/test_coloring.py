@@ -72,12 +72,14 @@ def test_color_tree_any_parent_order(seed):
 
 def test_parent_cycle_is_malformed():
     # Every parent pair and cycle pair is an edge and there are no others,
-    # so the edge check passes, but 4 -> 5 -> 6 -> 4 never reaches the root.
+    # but 4 -> 5 -> 6 -> 4 never reaches the root, so the non-cycle edges
+    # are no spanning tree.
     parent = {1: 0, 2: 0, 3: 0, 7: 4, 8: 5, 9: 6, 4: 5, 5: 6, 6: 4}
     cyc = (1, 2, 3, 7, 8, 9)
     g = Graph.from_edges(10, [*parent.items(), *zip(cyc, cyc[1:] + cyc[:1])])
     cert = HalinCertificate(frozenset(cyc), cyc, parent, 0)
-    check_certificate(g, cert)
+    with pytest.raises(MalformedCertificateError):
+        check_certificate(g, cert)
     with pytest.raises(MalformedCertificateError):
         color_tree(cert)
     with pytest.raises(MalformedCertificateError):

@@ -1,6 +1,7 @@
 """Call counts on the acceptance path, with no timers: recognize hands
-``certify`` only outer sets of the size every Halin outer cycle has, and
-tests connectivity only on the way to a rejection."""
+``certify`` only outer sets of the size every Halin outer cycle has,
+tests connectivity only on the way to a rejection, and does not reduce
+an input with a vertex of degree below 3."""
 
 import random
 
@@ -81,3 +82,28 @@ def test_rejection_certifies_only_right_sized_rims_and_tests_connectivity(calls)
         rejected += 1
     assert calls["is_connected"] == rejected
     assert all(size == got for size, got in calls["certify"])
+
+
+def test_low_degree_inputs_skip_the_reduction(monkeypatch):
+    # A vertex of degree 2 or 1 rules out Halin, so recognize rejects
+    # without reducing; _reduce relies on it, as its rules assume every
+    # degree is 3 or more. The first graph has a triangle 0, 1, 2 whose
+    # corner 2 has degree 2; the second, a pendant vertex.
+    reduce = recognition._reduce
+    reduced = []
+
+    def counted_reduce(src, verts):
+        reduced.append(len(verts))
+        return reduce(src, verts)
+
+    monkeypatch.setattr(recognition, "_reduce", counted_reduce)
+    corner = Graph.from_edges(
+        7, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (3, 4), (3, 5), (4, 5), (5, 6), (3, 6), (4, 6)]
+    )
+    pendant, _ = generate(GenSpec(20, "halin", seed=4))
+    pendant.add_edge(0, pendant.add_vertex())
+    for g in (corner, pendant):
+        assert recognize(g).reason == recognition.REASON_LOW_DEGREE
+    assert reduced == []
+    assert recognize(generate(GenSpec(20, "halin", seed=4))[0]).is_halin
+    assert reduced == [20]
