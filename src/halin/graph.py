@@ -1,15 +1,14 @@
 """Simple undirected graph on dense integer vertex ids.
 
-Vertices are ids 0..n-1 with adjacency stored as per-vertex sets.
-Deletion uses a live-vertex mask so ids stay stable; ``add_vertex`` gives
-a new vertex the next fresh id.
+Vertices are always the ids 0..n-1, with adjacency stored as per-vertex
+sets; ``add_vertex`` gives a new vertex the id n. No vertex is ever
+deleted.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import deque
-from itertools import compress
 from typing import Iterable, Iterator
 
 
@@ -20,8 +19,6 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self._adj: list[set[int]] = [set() for _ in range(n)]
-        self._alive: list[bool] = [True] * n
-        self._n_live = n
         # A weak reference to the one certificate ``certify`` last built
         # for this graph, or None; every mutator resets it. A weak
         # reference keeps no certificate alive.
@@ -36,20 +33,15 @@ class Graph:
 
     @property
     def n(self) -> int:
-        """Number of live vertices."""
-        return self._n_live
-
-    @property
-    def id_bound(self) -> int:
-        """One past the largest id ever allocated (dead ids included)."""
+        """Number of vertices; the ids are 0..n-1."""
         return len(self._adj)
 
     def _check(self, v: int) -> None:
-        if not (0 <= v < len(self._adj)) or not self._alive[v]:
+        if not 0 <= v < len(self._adj):
             raise ValueError(f"vertex {v} is not in the graph")
 
     def _adjacency(self) -> list[set[int]]:
-        """The adjacency sets themselves, indexed by id; dead ids hold empty sets.
+        """The adjacency sets themselves, indexed by id.
 
         Package-internal, for hot loops that have already validated their
         vertex ids and so skip the per-call checks. Read-only, except on a
@@ -58,24 +50,13 @@ class Graph:
         return self._adj
 
     def has_vertex(self, v: int) -> bool:
-        return 0 <= v < len(self._adj) and self._alive[v]
+        return 0 <= v < len(self._adj)
 
     def add_vertex(self) -> int:
-        """Allocate a fresh isolated vertex and return its id."""
+        """Add an isolated vertex and return its id, the old n."""
         self._certified = None
         self._adj.append(set())
-        self._alive.append(True)
-        self._n_live += 1
         return len(self._adj) - 1
-
-    def remove_vertex(self, v: int) -> None:
-        self._check(v)
-        self._certified = None
-        for w in self._adj[v]:
-            self._adj[w].discard(v)
-        self._adj[v] = set()
-        self._alive[v] = False
-        self._n_live -= 1
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
@@ -96,11 +77,7 @@ class Graph:
         self._adj[v].discard(u)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (
-            0 <= u < len(self._adj)
-            and self._alive[u]
-            and v in self._adj[u]
-        )
+        return 0 <= u < len(self._adj) and v in self._adj[u]
 
     def degree(self, v: int) -> int:
         self._check(v)
@@ -112,8 +89,8 @@ class Graph:
         self._check(v)
         return frozenset(self._adj[v])
 
-    def vertices(self) -> Iterator[int]:
-        return compress(range(len(self._alive)), self._alive)
+    def vertices(self) -> range:
+        return range(len(self._adj))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once, as (u, v) with u < v."""
@@ -123,31 +100,28 @@ class Graph:
                     yield (u, v)
 
     def num_edges(self) -> int:
-        return sum(map(len, self._adj)) // 2  # dead ids hold empty sets
+        return sum(map(len, self._adj)) // 2
 
     def is_connected(self) -> bool:
-        """True iff every live vertex is reachable from the smallest one.
+        """True iff every vertex is reachable from vertex 0.
 
         Vacuously true for fewer than two vertices.
         """
-        start = next(self.vertices(), None)
-        if start is None:
+        if not self._adj:
             return True
-        seen = {start}
-        queue = deque([start])
+        seen = {0}
+        queue = deque([0])
         while queue:
             v = queue.popleft()
             for w in self._adj[v]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
-        return len(seen) == self._n_live
+        return len(seen) == len(self._adj)
 
     def copy(self) -> "Graph":
         g = Graph.__new__(Graph)
         g._adj = list(map(set.copy, self._adj))
-        g._alive = list(self._alive)
-        g._n_live = self._n_live
         g._certified = None
         return g
 

@@ -30,8 +30,6 @@ def _is_id(x: Any) -> bool:
 
 
 def graph_to_dict(g: Graph, outer: set[int] | None = None) -> dict[str, Any]:
-    if g.n != g.id_bound:
-        raise ValueError("graph has deleted vertices; ids are not dense")
     obj: dict[str, Any] = {
         "n": g.n,
         "edges": [[u, v] for u, v in sorted(g.edges())],

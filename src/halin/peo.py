@@ -62,10 +62,10 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
     clen = len(cyc)
     # Indexed by vertex id: nxt and par are read at cycle vertices only,
     # child_count at inner ones.
-    bound = g.id_bound
-    nxt = [0] * bound
-    par = [0] * bound
-    child_count = [0] * bound
+    n = g.n
+    nxt = [0] * n
+    par = [0] * n
+    child_count = [0] * n
     prev = cyc[-1]
     for w in cyc:
         nxt[prev] = w
@@ -78,8 +78,8 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
     # The only fills at an inner vertex join it to the cycle vertices it
     # inherits as children, so the degree of an inner vertex s is
     # child_count[s] + inner_deg[s].
-    inner_deg = [0] * bound
-    inner_xor = [0] * bound
+    inner_deg = [0] * n
+    inner_xor = [0] * n
     for v in parent.keys() - cert.outer:
         p = parent[v]
         inner_deg[v] += 1
@@ -89,7 +89,7 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
 
     trace: list[TraceStep] = []
     new_tuple = tuple.__new__  # builds a TraceStep without its Python-level __new__
-    live = g.n
+    live = n
     cur = cyc[0]
     idle = 0
 
@@ -141,10 +141,9 @@ def chordal_completion(g: Graph, result: PeoResult) -> Graph:
     """
     h = g.copy()
     adj = h._adjacency()
-    alive = h._alive  # read directly: has_vertex per endpoint costs a call
-    bound = len(adj)
+    n = len(adj)
     for u, v in result.fill_edges:
-        if u == v or not (0 <= u < bound and 0 <= v < bound and alive[u] and alive[v]):
+        if u == v or not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"fill edge ({u}, {v}) does not join two vertices of the graph")
         adj[u].add(v)
         adj[v].add(u)

@@ -105,11 +105,11 @@ def check_certificate(g: Graph, cert: HalinCertificate) -> HalinCertificate:
     derived from its outer set. Callers go on with the returned object.
 
     Returns ``cert`` at once, without checking, when it is the very
-    object ``certify`` last built for ``g`` and no vertex or edge of g has
-    been added or removed since. Such a certificate is immutable (a
-    frozen dataclass whose parent map refuses writes), so it still
-    describes g. An equal certificate built any other way is checked in
-    full.
+    object ``certify`` last built for ``g`` and no vertex has been added
+    to g, nor any edge added or removed, since. Such a certificate is
+    immutable (a frozen dataclass whose parent map refuses writes), so it
+    still describes g. An equal certificate built any other way is
+    checked in full.
     """
     if g._certified is not None and g._certified() is cert:
         return cert
@@ -138,10 +138,12 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     """
     outer = frozenset(outer)  # the certificate's own set; no copy if frozen
     adj = g._adjacency()
-    if len(outer) < 3 or min(outer) < 0 or max(outer) >= len(adj):
+    # Ids are ints in 0..n-1; a str, a float or a bool is no id.
+    if len(outer) < 3 or set(map(type, outer)) != {int}:
         return None
-    # Outer vertices: 2 cycle neighbors + 1 tree parent. Dead ids have no
-    # neighbors, so this also rejects them.
+    if min(outer) < 0 or max(outer) >= len(adj):
+        return None
+    # Outer vertices: 2 cycle neighbors + 1 tree parent.
     if set(map(len, map(adj.__getitem__, outer))) != {3}:
         return None
     # (a) The walk from the smallest outer id toward its smaller outer
@@ -184,9 +186,8 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     root = next(filterfalse(outer.__contains__, g.vertices()), None)
     if root is None:
         return None
-    bound = len(adj)
-    parent = [-1] * bound  # by id, -1 until reached; the map is built at the end
-    top = [0] * bound
+    parent = [-1] * n  # by id, -1 until reached; the map is built at the end
+    top = [0] * n
     parent[root] = root
     for w in adj[root]:
         parent[w] = root
@@ -218,9 +219,9 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     if boundary is None:
         # Single root subtree: the root would have tree-degree 1.
         return None
-    lo = [cyc_len] * bound
-    hi = [-1] * bound
-    cnt = [0] * bound
+    lo = [cyc_len] * n
+    hi = [-1] * n
+    cnt = [0] * n
     # Each leaf is the one-position arc j; it goes straight into its
     # parent's range. j only grows, so the first leaf sets lo.
     for j, w in enumerate(order[boundary:] + order[:boundary]):
@@ -269,16 +270,15 @@ def recognize(g: Graph) -> RecognitionResult:
     n = g.n
     src = g._adjacency()
     hubs: list[int] = []
-    verts = list(g.vertices())
     # A Halin graph has at least four vertices, each of degree 3 or more;
     # any other input goes straight to the rejection path.
-    if n >= 4 and min(map(len, map(src.__getitem__, verts))) >= 3:
+    if n >= 4 and min(map(len, src)) >= 3:
         # In a Halin graph a vertex joined to all others is the hub of a
         # wheel (any vertex of K4), whose rim is known without reducing.
-        adj, residue, trace = src, verts, []
+        adj, residue, trace = src, range(n), []
         if max(map(len, src)) < n - 1:
-            adj, trace = _reduce(src, verts)
-            residue = list(filter(adj.__getitem__, verts))  # ids with neighbours
+            adj, trace = _reduce(src)
+            residue = list(filter(adj.__getitem__, range(n)))  # ids with neighbours
         # The hub candidates: all four vertices of K4, the one hub of a wheel.
         joined_to_all = map((len(residue) - 1).__eq__, map(len, map(adj.__getitem__, residue)))
         hubs = list(compress(residue, joined_to_all))
@@ -286,26 +286,25 @@ def recognize(g: Graph) -> RecognitionResult:
             hubs = []
         # Every Halin outer cycle has m - n + 1 vertices.
         size = g.num_edges() - n + 1
-        for outer in _rims(residue, hubs, trace, len(src), size):
+        for outer in _rims(residue, hubs, trace, n, size):
             cert = certify(g, outer)
             if cert is not None:
                 return RecognitionResult(cert, None)
     if not g.is_connected():
         return RecognitionResult(None, REASON_DISCONNECTED)
-    if any(len(src[v]) < 3 for v in verts):
+    if any(len(a) < 3 for a in src):
         return RecognitionResult(None, REASON_LOW_DEGREE)
     return RecognitionResult(None, REASON_VERIFY_FAILED if hubs else REASON_STUCK)
 
 
-def _reduce(src: list[set[int]], verts: list[int]) -> tuple[list[set[int]], list[tuple[int, ...]]]:
+def _reduce(src: list[set[int]]) -> tuple[list[set[int]], list[tuple[int, ...]]]:
     """Apply the merge and triangle rules to a copy of ``src`` until four
     vertices are left or no rule applies.
 
-    ``verts`` are the live ids in ascending order, each of degree 3 or
-    more, and no rule lowers a degree. In a Halin graph with more than
-    four vertices every triangle is an inner vertex (the centre) plus two
-    consecutive leaves, so each rule turns a Halin graph into a smaller
-    one in which the kept vertex x is a leaf:
+    Every vertex has degree 3 or more, and no rule lowers a degree. In a
+    Halin graph with more than four vertices every triangle is an inner
+    vertex (the centre) plus two consecutive leaves, so each rule turns a
+    Halin graph into a smaller one in which the kept vertex x is a leaf:
 
     - merge (x, y): x and y have degree 3, are adjacent and share exactly
       one neighbour v, of degree at least 4, and their third neighbours
@@ -318,17 +317,17 @@ def _reduce(src: list[set[int]], verts: list[int]) -> tuple[list[set[int]], list
       joined to all three outside neighbours. Which one is the centre is
       left open until expansion.
 
-    Returns the reduced adjacency sets (deleted ids have none) and the
-    trace, one tuple per rule in the order applied.
+    Returns the reduced adjacency sets (a vertex a rule deleted has none)
+    and the trace, one tuple per rule in the order applied.
     """
     adj = list(map(set.copy, src))
-    live = len(verts)
+    live = len(src)
     trace: list[tuple[int, ...]] = []
     # Only degree-3 vertices take part in a rule. A rule changes the
     # neighbours of the kept vertex and of its new neighbours, and in a
     # merge the degree of v, so a new instance contains one of those and
     # only they are pushed again. Each pop is O(1); no hub is scanned.
-    stack = verts[::-1]
+    stack = list(range(live - 1, -1, -1))
     while live > 4 and stack:
         x = stack.pop()
         nbrs = adj[x]
@@ -387,7 +386,7 @@ def _reduce(src: list[set[int]], verts: list[int]) -> tuple[list[set[int]], list
 
 
 def _rims(
-    residue: list[int], hubs: list[int], trace: list[tuple[int, ...]], bound: int, size: int
+    residue: list[int], hubs: list[int], trace: list[tuple[int, ...]], n: int, size: int
 ) -> Iterator[frozenset[int]]:
     """The rim of the residue around each hub in turn, with the rules of
     ``trace`` undone, last first; only rims of ``size`` vertices.
@@ -404,7 +403,7 @@ def _rims(
                 yield rest - {hub}
         return
     full = (1 << len(hubs)) - 1
-    mask = [0] * bound
+    mask = [0] * n
     for v in residue:
         mask[v] = full
     for i, hub in enumerate(hubs):
@@ -424,4 +423,4 @@ def _rims(
     for i in range(len(hubs)):
         bit = 1 << i
         if sum(c for m, c in counts.items() if m & bit) == size:
-            yield frozenset(compress(range(bound), map(and_, mask, repeat(bit))))
+            yield frozenset(compress(range(n), map(and_, mask, repeat(bit))))

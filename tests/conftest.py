@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from halin import Graph
@@ -25,6 +28,19 @@ def build_halin(children: list[list[int]]) -> tuple[Graph, set[int]]:
     for i, v in enumerate(leaves):
         g.add_edge(v, leaves[(i + 1) % len(leaves)])
     return g, set(leaves)
+
+
+@pytest.fixture(scope="session")
+def loglog_slope():
+    """``loglog_slope`` of benchmark/spans.py, the repo's one log-log fitter.
+
+    Loaded by path: benchmark/ is a directory of scripts, not a package.
+    """
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.loglog_slope
 
 
 @pytest.fixture

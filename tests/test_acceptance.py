@@ -3,7 +3,10 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 """
 
+import math
 import random
+import statistics
+import time
 
 import pytest
 
@@ -26,7 +29,6 @@ from halin import (
     verify_halin,
     verify_peo,
 )
-from halin.cli import run_bench
 from halin.recognition import certify
 
 PER_VARIANT = 1000
@@ -248,10 +250,35 @@ def test_criterion_5_recognition_round_trip():
     )
 
 
-def test_criterion_6_linear_time_coloring():
+def _scaling_slope(loglog_slope, algorithm, variant, sizes):
+    """Log-log slope of the median of 5 timed runs of ``algorithm`` on one
+    generated graph per size, seed 1; the certificate is built untimed."""
+    points = []
+    for n in sizes:
+        g, outer = generate(GenSpec(n, variant, seed=1))
+        cert = certificate_from_outer(g, outer)
+        runs = []
+        for _ in range(5):
+            start = time.perf_counter()
+            algorithm(g, cert)
+            runs.append(time.perf_counter() - start)
+        points.append((variant, g.n, statistics.median(runs)))
+    return loglog_slope(points)
+
+
+def test_loglog_slope_closed_form(loglog_slope):
+    # The fitter of criteria 6 and 7 on one group.
+    points = [("halin", n, 3e-7 * n ** 1.37) for n in (100, 250, 1000, 4000)]
+    assert math.isclose(loglog_slope(points), 1.37, abs_tol=1e-9)
+    # Under two distinct sizes there is no slope.
+    assert loglog_slope(points[:1]) == 0.0
+    assert loglog_slope([("halin", 100, 1.0), ("halin", 100, 2.0)]) == 0.0
+    assert loglog_slope([]) == 0.0
+
+
+def test_criterion_6_linear_time_coloring(loglog_slope):
     sizes = [2000, 4000, 8000, 16000, 32000, 64000]
-    report = run_bench("color", "halin", sizes, seed=1, repeats=5)
-    slope = report["slope"]
+    slope = _scaling_slope(loglog_slope, color_halin, "halin", sizes)
     failures = [] if 0.8 <= slope <= 1.3 else [f"slope {slope:.3f} outside [0.8, 1.3]"]
     _report(
         "criterion 6: linear-time coloring",
@@ -260,21 +287,19 @@ def test_criterion_6_linear_time_coloring():
     )
 
 
-def test_criterion_7_peo_scaling_report():
+def test_criterion_7_peo_scaling_report(loglog_slope):
     sizes = [2000, 4000, 8000, 16000, 32000]
-    random_report = run_bench("peo", "halin", sizes, seed=1, repeats=5)
-    necklace_report = run_bench("peo", "necklace", sizes, seed=1, repeats=5)
+    random_slope = _scaling_slope(loglog_slope, peo_halin, "halin", sizes)
+    necklace_slope = _scaling_slope(loglog_slope, peo_halin, "necklace", sizes)
     failures = []
-    for name, rep in (("random", random_report), ("necklace", necklace_report)):
-        if rep["slope"] > 2.2:
-            failures.append(f"{name} slope {rep['slope']:.3f} exceeds 2.2")
+    for name, slope in (("random", random_slope), ("necklace", necklace_slope)):
+        if slope > 2.2:
+            failures.append(f"{name} slope {slope:.3f} exceeds 2.2")
     _report(
         "criterion 7: PEO scaling",
         failures,
         "slopes random={:.3f} necklace={:.3f} (quadratic bound 2.2; observed-linear "
-        "behavior reported, not gated)".format(
-            random_report["slope"], necklace_report["slope"]
-        ),
+        "behavior reported, not gated)".format(random_slope, necklace_slope),
     )
 
 

@@ -16,6 +16,7 @@ from halin import (
     make_wheel,
     peo_halin,
     recognize,
+    verify_halin,
 )
 from halin.generators import VARIANTS
 from halin.recognition import HalinCertificate, certify, check_certificate
@@ -35,6 +36,29 @@ def test_subdivided_spoke_has_no_certificate():
     with pytest.raises(MalformedCertificateError):
         certificate_from_outer(g, rim)
     cert = HalinCertificate(frozenset(rim), (0, 1, 2, 3, 4), {1: 5, 2: 5, 3: 5, 4: 5, w: 5, 0: w}, 5)
+    for call in (check_certificate, color_halin, peo_halin):
+        with pytest.raises(MalformedCertificateError):
+            call(g, cert)
+
+
+# Outer sets on make_wheel(6), whose rim is 0..4 around hub 5, each with
+# ids that are not ints; True would pass for 1.
+LOOSE_OUTERS = {
+    "str": {"a", "b", "c"},
+    "float": {0.0, 1, 2, 3, 4},
+    "bool": {0, True, 2, 3, 4},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOSE_OUTERS))
+def test_outer_ids_that_are_not_ints_certify_nothing(name):
+    g, _ = make_wheel(6)
+    outer = LOOSE_OUTERS[name]
+    assert certify(g, outer) is None
+    assert verify_halin(g, outer) is False
+    with pytest.raises(MalformedCertificateError):
+        certificate_from_outer(g, outer)
+    cert = HalinCertificate(frozenset(outer), (0, 1, 2, 3, 4), dict.fromkeys(range(5), 5), 5)
     for call in (check_certificate, color_halin, peo_halin):
         with pytest.raises(MalformedCertificateError):
             call(g, cert)
@@ -73,7 +97,7 @@ def _tampered(g, cert, rng):
     repointed = dict(parent)
     repointed[v] = rng.choice([u for u in g.vertices() if u not in (v, parent[v])])
     out_of_range = dict(parent)
-    out_of_range[g.id_bound + rng.randrange(3)] = cert.root
+    out_of_range[g.n + rng.randrange(3)] = cert.root
     cases = {
         "swap": (outer, swapped, parent, cert.root),
         "rotate": (outer, cyc[k:] + cyc[:k], parent, cert.root),

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -7,7 +6,7 @@ import sys
 import pytest
 
 import halin
-from halin.cli import fit_loglog_slope, main
+from halin.cli import main
 from halin.io import (
     GraphFormatError,
     certificate_from_dict,
@@ -184,31 +183,29 @@ def test_verify_peo_mode_checks_the_order_once(tmp_path, capsys, monkeypatch):
     assert calls == [30]
 
 
-def test_bench_empty_schedule(capsys):
-    assert main(["bench", "--algorithm", "color", "--sizes", ""]) == 0
-    report = _out(capsys)
-    assert report["points"] == []
-    assert report["slope"] is None
+@pytest.mark.parametrize("mode", ["coloring", "peo"])
+def test_verify_loads_its_input_once(tmp_path, capsys, monkeypatch, mode):
+    calls = []
 
+    def counted(path):
+        calls.append(path)
+        return load_graph(path)
 
-def test_bench_small_schedule(capsys):
-    assert (
-        main(
-            [
-                "bench", "--algorithm", "peo", "--variant", "necklace",
-                "--sizes", "200,400", "--repeats", "2",
-            ]
-        )
-        == 0
-    )
-    report = _out(capsys)
-    assert len(report["points"]) == 2
-    assert isinstance(report["slope"], float)
+    graph = tmp_path / "g.json"
+    main(["generate", "--variant", "halin", "--n", "12", "--seed", "1", "--out", str(graph)])
+    capsys.readouterr()
+    monkeypatch.setattr(halin.io, "load_graph", counted)
+    assert main(["verify", "--in", str(graph), "--mode", mode]) == 0
+    assert _out(capsys)["ok"] is True
+    assert calls == [str(graph)]
 
 
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["recognize"])  # missing --in
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--algorithm", "color"])  # no such command
     assert exc.value.code == 2
 
 
@@ -292,13 +289,6 @@ def test_loose_certificate_ids_are_format_errors(tmp_path, name):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     _assert_cli_format_error("color", "--in", graph, "--certificate", bad)
-
-
-def test_fit_loglog_slope_closed_form():
-    points = [{"n": n, "median_s": 3e-7 * n ** 1.37} for n in (100, 250, 1000, 4000)]
-    assert math.isclose(fit_loglog_slope(points), 1.37, abs_tol=1e-9)
-    assert fit_loglog_slope(points[:1]) is None
-    assert fit_loglog_slope([]) is None
 
 
 # One malformed graph document per rule of graph_from_dict's edge pass.

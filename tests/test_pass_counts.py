@@ -92,9 +92,9 @@ def test_low_degree_inputs_skip_the_reduction(monkeypatch):
     reduce = recognition._reduce
     reduced = []
 
-    def counted_reduce(src, verts):
-        reduced.append(len(verts))
-        return reduce(src, verts)
+    def counted_reduce(src):
+        reduced.append(len(src))
+        return reduce(src)
 
     monkeypatch.setattr(recognition, "_reduce", counted_reduce)
     corner = Graph.from_edges(

@@ -327,7 +327,7 @@ def _disjoint_union(*graphs):
     out, shift = [], 0
     for g in graphs:
         out += [(u + shift, v + shift) for u, v in g.edges()]
-        shift += g.id_bound
+        shift += g.n
     return Graph.from_edges(shift, out)
 
 
