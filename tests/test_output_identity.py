@@ -8,6 +8,7 @@ import random
 import pytest
 
 from halin import (
+    ColoringTrace,
     GenSpec,
     Graph,
     color_halin,
@@ -48,6 +49,33 @@ def test_pipeline_output_is_pinned(variant, n):
         sorted(peo.fill_edges),
     ]
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == PINNED[(variant, n)]
+
+
+# Specs on which color_halin takes case 4 (odd cycle, one tree color on
+# it): four pick an odd true fan, two an odd pseudo-fan. sha256 of
+# [case, colors by vertex id, [center, run, is_fan]] per spec, in order.
+CASE4_SPECS = [
+    ("halin", 11, 9),
+    ("halin", 14, 0),
+    ("halin", 16, 27),
+    ("halin", 25, 19),
+    ("halin_cubic", 16, 31),
+    ("halin_cubic", 16, 39),
+]
+CASE4_PINNED = "022b53f43df0e4eee03107335355c6414eafa5aac0de5fd93dd62ff81aaf8b79"
+
+
+def test_case4_output_is_pinned():
+    doc = []
+    for variant, n, seed in CASE4_SPECS:
+        g, _ = generate(GenSpec(n, variant, seed=seed))
+        trace = ColoringTrace()
+        colors = color_halin(g, recognize(g).certificate, trace)
+        assert trace.case == 4, (variant, n, seed)
+        run = trace.odd_run
+        doc.append([trace.case, [colors[v] for v in range(g.n)], [run.center, list(run.run), run.is_fan]])
+    assert {is_fan for _, _, (_, _, is_fan) in doc} == {True, False}
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == CASE4_PINNED
 
 
 def _corpus():
