@@ -25,14 +25,17 @@ for n in (4, 5, 6, 7, 10, 11):
         f"(brute force says {chromatic_number_bruteforce(g, 5) if n <= 16 else '-'})"
     )
 
-# On a random instance the coloring stays proper and 3 colors suffice.
-g, outer = make_halin(GenSpec(40, seed=11))
-cert = certificate_from_outer(g, outer)
-trace = ColoringTrace()
-colors = color_halin(g, cert, trace)
-assert all(colors[u] != colors[v] for u, v in g.edges())
-print(f"\nrandom n=40: case {trace.case}, colors used = {sorted(set(colors.values()))}")
-if trace.odd_run is not None:
-    kind = "fan" if trace.odd_run.is_fan else "pseudo-fan"
-    print(f"recolored an odd {kind} of length {len(trace.odd_run.run)} "
-          f"centered at {trace.odd_run.center}")
+# On random instances the coloring stays proper and 3 colors suffice.
+# n=40 takes case 3; n=11 and n=16 take case 4, recoloring an odd fan
+# and an odd pseudo-fan.
+for spec in (GenSpec(40, seed=11), GenSpec(11, seed=9), GenSpec(16, seed=27)):
+    g, outer = make_halin(spec)
+    cert = certificate_from_outer(g, outer)
+    trace = ColoringTrace()
+    colors = color_halin(g, cert, trace)
+    assert all(colors[u] != colors[v] for u, v in g.edges())
+    print(f"\nrandom n={spec.n}: case {trace.case}, colors used = {sorted(set(colors.values()))}")
+    if trace.odd_run is not None:
+        kind = "fan" if trace.odd_run.is_fan else "pseudo-fan"
+        print(f"recolored an odd {kind} of length {len(trace.odd_run.run)} "
+              f"centered at {trace.odd_run.center}")

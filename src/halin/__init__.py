@@ -15,9 +15,6 @@ from .coloring import (
     ColoringTrace,
     FanRun,
     color_halin,
-    color_tree,
-    cycle_runs,
-    find_odd_run,
     is_even_wheel,
 )
 from .generators import (
@@ -70,10 +67,7 @@ __all__ = [
     "chordal_completion",
     "chromatic_number_bruteforce",
     "color_halin",
-    "color_tree",
-    "cycle_runs",
     "dumps_graph",
-    "find_odd_run",
     "generate",
     "is_chordal_bruteforce",
     "is_even_wheel",

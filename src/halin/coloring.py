@@ -3,7 +3,9 @@
 Three colors always suffice except for even wheels, which need four.
 The algorithm 2-colors the inner tree by depth parity and then recolors
 part of the cycle; the recoloring pattern depends on the cycle parity
-and on which tree colors appear on the cycle (four cases). It runs on
+and on which tree colors appear on the cycle (four cases). Case 4, an
+odd cycle in one tree color, recolors one odd run of leaves under a
+common parent, picked in one walk of the cycle. It runs on
 the certificate ``check_certificate`` returns: the one ``certify``
 derives from the given certificate's outer set, which must equal it.
 The final coloring is re-checked on every tree and cycle edge of that
@@ -13,8 +15,9 @@ fails loudly instead of returning an improper coloring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain, cycle
+from collections import Counter
+from dataclasses import dataclass
+from itertools import chain, cycle, groupby
 from operator import eq
 
 from .graph import Graph
@@ -43,83 +46,11 @@ class ColoringTrace:
 
     case: int | None = None
     odd_run: FanRun | None = None
-    runs: list[FanRun] = field(default_factory=list)
-
-
-def color_tree(cert: HalinCertificate) -> dict[int, int]:
-    """2-color every vertex by tree depth parity; the root gets C1.
-
-    Proper on tree edges; conflicts may remain on cycle edges. One walk
-    over the parent map: a vertex listed before its parent, which a
-    certificate from ``certify`` never has, colors its uncolored
-    ancestors first. Raises MalformedCertificateError when the parent
-    map has a cycle.
-    """
-    parent = cert.parent
-    colors = {cert.root: C1}
-    known = colors.get
-    for v, p in parent.items():
-        c = known(p)
-        if c is None:
-            path = [v]
-            while p not in colors:
-                path.append(p)
-                if len(path) > len(parent):
-                    raise MalformedCertificateError("the parent map has a cycle")
-                p = parent[p]
-            c = colors[p]
-            for w in reversed(path[1:]):
-                c = colors[w] = C1 + C2 - c  # the other tree color
-        colors[v] = C1 + C2 - c
-    return colors
 
 
 def is_even_wheel(g: Graph, cert: HalinCertificate) -> bool:
     """True iff the inner tree is a single star hub and n is even."""
     return g.n - len(cert.outer) == 1 and g.n % 2 == 0
-
-
-def cycle_runs(cert: HalinCertificate) -> list[FanRun]:
-    """All maximal same-parent runs around the cycle, in cycle order,
-    starting from the first parent boundary (position 0 if none)."""
-    cyc = cert.cycle_order
-    length = len(cyc)
-    pars = [cert.parent[w] for w in cyc]
-    children = _children_map(cert)
-    start = next((i for i in range(length) if pars[i] != pars[i - 1]), None)
-    runs: list[FanRun] = []
-    if start is None:
-        runs.append(FanRun(pars[0], tuple(range(length)), _is_true_fan(cert, children, pars[0])))
-        return runs
-    i = start
-    covered = 0
-    while covered < length:
-        run_len = 1
-        while pars[(i + run_len) % length] == pars[i] and run_len < length:
-            run_len += 1
-        positions = tuple((i + t) % length for t in range(run_len))
-        center = pars[i]
-        runs.append(FanRun(center, positions, _is_true_fan(cert, children, center)))
-        covered += run_len
-        i = (i + run_len) % length
-    return runs
-
-
-def find_odd_run(cert: HalinCertificate) -> FanRun:
-    """An odd-length run for the monochromatic odd-cycle case.
-
-    Prefers a run whose center is a true fan; otherwise returns the
-    first odd pseudo-fan. On an odd cycle the run lengths sum to an odd
-    number, so an odd run always exists.
-    """
-    runs = cycle_runs(cert)
-    odd = [r for r in runs if len(r.run) % 2 == 1]
-    if not odd:
-        raise MalformedCertificateError("no odd run: cycle length is even?")
-    for r in odd:
-        if r.is_fan:
-            return r
-    return odd[0]
 
 
 def color_halin(
@@ -140,7 +71,7 @@ def color_halin(
     monochromatic edge, which it names.
     """
     cert = check_certificate(g, cert)
-    colors = color_tree(cert)
+    colors = _color_tree(cert)
     cyc = cert.cycle_order
     length = len(cyc)
 
@@ -157,15 +88,27 @@ def color_halin(
         _recolor_two_tone_odd_cycle(colors, cyc)
     else:
         case = 4
-        run = find_odd_run(cert)
+        run = _odd_run(g, cert)
         _recolor_monochrome_odd_cycle(colors, cert, run)
         if trace is not None:
             trace.odd_run = run
-            trace.runs = cycle_runs(cert)
 
     if trace is not None:
         trace.case = case
     _check_proper(cert, colors)
+    return colors
+
+
+def _color_tree(cert: HalinCertificate) -> dict[int, int]:
+    """2-color every vertex by tree depth parity; the root gets C1.
+
+    Proper on tree edges; conflicts may remain on cycle edges. The
+    certificate ``check_certificate`` returns lists every parent before
+    its children.
+    """
+    colors = {cert.root: C1}
+    for v, p in cert.parent.items():
+        colors[v] = C1 + C2 - colors[p]  # the other tree color
     return colors
 
 
@@ -179,6 +122,34 @@ def _recolor_two_tone_odd_cycle(colors: dict[int, int], cyc: tuple[int, ...]) ->
     seq = cyc[anchor:] + cyc[:anchor]
     # Keep seq[0], seq[1] (the C1,C2 pair); then C3 every second vertex.
     colors.update(dict.fromkeys(seq[2::2], C3))
+
+
+def _odd_run(g: Graph, cert: HalinCertificate) -> FanRun:
+    """The run case 4 recolors: the first odd same-parent run around the
+    cycle whose center is a true fan, else the first odd run.
+
+    Runs are counted from the first change of parent, which every odd
+    cycle but an even wheel's has; an odd cycle's run lengths sum to an
+    odd number, so some run is odd. Every edge of an inner vertex is a
+    tree edge, so a center's inner tree neighbors number its degree less
+    its leaf children.
+    """
+    cyc = cert.cycle_order
+    length = len(cyc)
+    pars = [cert.parent[w] for w in cyc]
+    pos = next(i for i in range(length) if pars[i] != pars[i - 1])
+    leaves = Counter(pars)
+    first = None
+    for center, members in groupby(pars[pos:] + pars[:pos]):
+        run_len = len(list(members))
+        if run_len % 2:
+            positions = tuple((pos + t) % length for t in range(run_len))
+            run = FanRun(center, positions, g.degree(center) - leaves[center] == 1)
+            if run.is_fan:
+                return run
+            first = first or run
+        pos += run_len
+    return first
 
 
 def _recolor_monochrome_odd_cycle(
@@ -200,22 +171,6 @@ def _recolor_monochrome_odd_cycle(
         colors[seq[j]] = tone
         w = seq[j + 1]
         colors[w] = C3 if colors[cert.parent[w]] == other else other
-
-
-def _children_map(cert: HalinCertificate) -> dict[int, list[int]]:
-    children: dict[int, list[int]] = {}
-    for v, p in cert.parent.items():
-        children.setdefault(p, []).append(v)
-    return children
-
-
-def _is_true_fan(
-    cert: HalinCertificate, children: dict[int, list[int]], center: int
-) -> bool:
-    tree_nbrs = list(children.get(center, ()))
-    if center != cert.root:
-        tree_nbrs.append(cert.parent[center])
-    return sum(1 for w in tree_nbrs if w not in cert.outer) == 1
 
 
 def _check_proper(cert: HalinCertificate, colors: dict[int, int]) -> None:

@@ -137,16 +137,20 @@ def chordal_completion(g: Graph, result: PeoResult) -> Graph:
     """The graph plus the fill edges recorded by peo_halin(g, ...).
 
     Raises ValueError when a fill edge is a self-loop or has an endpoint
-    that is not a vertex of g.
+    that is not a vertex of g; a bool endpoint counts as the int it
+    equals.
     """
     h = g.copy()
     adj = h._adjacency()
     n = len(adj)
-    for u, v in result.fill_edges:
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"fill edge ({u}, {v}) does not join two vertices of the graph")
-        adj[u].add(v)
-        adj[v].add(u)
+    try:
+        for u, v in result.fill_edges:
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"fill edge ({u}, {v}) does not join two vertices of the graph")
+            adj[u].add(v)
+            adj[v].add(u)
+    except TypeError:  # from the range test or the index: a float, str or None
+        raise ValueError("a fill edge has an endpoint that is not a vertex id") from None
     return h
 
 

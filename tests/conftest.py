@@ -79,3 +79,22 @@ def pseudo_fan_graph() -> tuple[Graph, set[int]]:
     children[5] = [11, 12]
     children[6] = [13, 14]
     return build_halin(children)
+
+
+@pytest.fixture
+def three_pseudo_fans_graph() -> tuple[Graph, set[int]]:
+    """23 vertices, monochromatic odd cycle with no odd true fan and
+    three odd pseudo-fans, each one leaf: under 5, then twice under 4
+    (its leaf children 14 and 16 lie on either side of the subtree of 15)."""
+    children: list[list[int]] = [[] for _ in range(23)]
+    children[0] = [1, 2, 3]
+    children[2] = [4, 5]
+    children[4] = [14, 15, 16]
+    children[5] = [6, 7]
+    children[6] = [8, 9]
+    children[8] = [12, 13]
+    children[9] = [10, 11]
+    children[15] = [17, 18]
+    children[17] = [21, 22]
+    children[18] = [19, 20]
+    return build_halin(children)

@@ -7,6 +7,7 @@ import math
 import random
 import statistics
 import time
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,6 @@ from halin import (
     chordal_completion,
     chromatic_number_bruteforce,
     color_halin,
-    cycle_runs,
     generate,
     is_chordal_bruteforce,
     is_even_wheel,
@@ -137,7 +137,10 @@ def test_criterion_3_case_coverage(pseudo_fan_graph, odd_fan_graph, two_tone_odd
     # The pseudo-fan instance: every true fan even, an odd pseudo-fan chosen.
     g, outer = pseudo_fan_graph
     cert = certificate_from_outer(g, outer)
-    if not all(len(r.run) % 2 == 0 for r in cycle_runs(cert) if r.is_fan):
+    # A true fan's tree neighbors are all leaves but one, so its leaf
+    # children form a single run of the cycle.
+    leaves = Counter(cert.parent[w] for w in cert.cycle_order)
+    if any(k % 2 and g.degree(c) - k == 1 for c, k in leaves.items()):
         failures.append("expected every true fan to be even")
     trace = run(g, outer)
     if trace.case != 4:

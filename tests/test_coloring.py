@@ -8,21 +8,19 @@ from halin import (
     C3,
     C4,
     ColoringTrace,
+    FanRun,
     GenSpec,
     Graph,
     MalformedCertificateError,
     certificate_from_outer,
     color_halin,
-    color_tree,
-    cycle_runs,
-    find_odd_run,
     generate,
     is_even_wheel,
     make_halin,
     make_necklace,
     make_wheel,
 )
-from halin.coloring import _check_proper
+from halin.coloring import _check_proper, _color_tree
 from halin.recognition import HalinCertificate, check_certificate
 
 
@@ -36,14 +34,14 @@ def _cert(g, outer):
 
 def test_color_tree_wheel():
     g, rim = make_wheel(6)
-    colors = color_tree(_cert(g, rim))
+    colors = _color_tree(_cert(g, rim))
     assert colors[5] == C1
     assert all(colors[v] == C2 for v in rim)
 
 
 def test_color_tree_alternates_by_depth():
     g, outer = make_necklace(4)  # spine 0-1-2-3 rooted at 0
-    colors = color_tree(_cert(g, outer))
+    colors = _color_tree(_cert(g, outer))
     assert colors[0] == C1 and colors[1] == C2
     assert colors[2] == C1 and colors[3] == C2
 
@@ -52,7 +50,7 @@ def test_color_tree_alternates_by_depth():
 def test_color_tree_proper_on_tree_edges(seed):
     g, outer = make_halin(GenSpec(30 + seed, seed=seed))
     cert = _cert(g, outer)
-    colors = color_tree(cert)
+    colors = _color_tree(cert)
     for child, parent in cert.parent.items():
         assert colors[child] != colors[parent]
 
@@ -66,7 +64,6 @@ def test_color_tree_any_parent_order(seed):
     random.Random(seed).shuffle(items)
     for parent in (dict(items), dict(reversed(cert.parent.items()))):
         shuffled = HalinCertificate(cert.outer, cert.cycle_order, parent, cert.root)
-        assert color_tree(shuffled) == color_tree(cert)
         assert color_halin(g, shuffled) == color_halin(g, cert)
 
 
@@ -81,8 +78,6 @@ def test_parent_cycle_is_malformed():
     with pytest.raises(MalformedCertificateError):
         check_certificate(g, cert)
     with pytest.raises(MalformedCertificateError):
-        color_tree(cert)
-    with pytest.raises(MalformedCertificateError):
         color_halin(g, cert)
 
 
@@ -93,38 +88,6 @@ def test_is_even_wheel():
     assert not is_even_wheel(g, _cert(g, outer))
     g, outer = make_necklace(2)
     assert not is_even_wheel(g, _cert(g, outer))
-
-
-def test_find_odd_run_wheel_single_run():
-    g, rim = make_wheel(6)
-    run = find_odd_run(_cert(g, rim))
-    assert len(run.run) == 5
-    assert run.center == 5
-
-
-def test_find_odd_run_requires_odd_cycle():
-    g, outer = make_necklace(2)  # 4-cycle: runs of length 2 and 2
-    with pytest.raises(MalformedCertificateError):
-        find_odd_run(_cert(g, outer))
-
-
-def test_find_odd_run_prefers_true_fan(odd_fan_graph):
-    g, outer = odd_fan_graph
-    run = find_odd_run(_cert(g, outer))
-    assert run.is_fan
-    assert len(run.run) == 3
-    assert run.center == 1
-
-
-def test_find_odd_run_falls_back_to_pseudo_fan(pseudo_fan_graph):
-    g, outer = pseudo_fan_graph
-    cert = _cert(g, outer)
-    runs = cycle_runs(cert)
-    assert all(len(r.run) % 2 == 0 for r in runs if r.is_fan)
-    run = find_odd_run(cert)
-    assert not run.is_fan
-    assert len(run.run) == 1
-    assert run.center == 0
 
 
 def test_w5_three_colors():
@@ -171,6 +134,8 @@ def test_case4_odd_true_fan(odd_fan_graph):
     colors = color_halin(g, _cert(g, outer), trace)
     assert trace.case == 4
     assert trace.odd_run.is_fan
+    assert len(trace.odd_run.run) == 3
+    assert trace.odd_run.center == 1
     assert colors[trace.odd_run.center] == C3
     assert _proper(g, colors)
     assert set(colors.values()) == {C1, C2, C3}
@@ -182,8 +147,19 @@ def test_case4_pseudo_fan(pseudo_fan_graph):
     colors = color_halin(g, _cert(g, outer), trace)
     assert trace.case == 4
     assert not trace.odd_run.is_fan
+    assert len(trace.odd_run.run) == 1
+    assert trace.odd_run.center == 0
     assert _proper(g, colors)
     assert set(colors.values()) == {C1, C2, C3}
+
+
+def test_case4_first_odd_pseudo_fan(three_pseudo_fans_graph):
+    g, outer = three_pseudo_fans_graph
+    trace = ColoringTrace()
+    colors = color_halin(g, _cert(g, outer), trace)
+    assert trace.case == 4
+    assert trace.odd_run == FanRun(5, (2,), False)
+    assert _proper(g, colors)
 
 
 def test_root_color_is_stable():

@@ -183,13 +183,19 @@ def test_certificate_must_cover_every_edge():
 
 @pytest.mark.parametrize(
     "fill",
-    [(0, 99), (1, 1)],
-    ids=["out-of-range", "self-loop"],
+    [(0, 99), (1, 1), (1.0, 3), (1, 3.0), ("a", 3), (1, "a"), (None, 3), (1, None)],
+    ids=["out-of-range", "self-loop", "float", "float-second", "str", "str-second", "none", "none-second"],
 )
 def test_completion_rejects_bad_fill(fill):
     g, _ = make_wheel(6)
     with pytest.raises(ValueError):
         chordal_completion(g, PeoResult([], {fill}, []))
+
+
+def test_completion_bool_fill_is_its_int():
+    g, _ = make_wheel(6)
+    comp = chordal_completion(g, PeoResult([], {(True, 3)}, []))
+    assert comp.has_edge(1, 3)
 
 
 def _verify_peo_pairwise(filled, order):
