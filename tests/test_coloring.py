@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,7 @@ from halin import (
     make_necklace,
     make_wheel,
 )
-from halin.coloring import _check_proper, _color_tree
+from halin.coloring import _check_proper, _color_tree, _odd_run
 from halin.recognition import HalinCertificate, check_certificate
 
 
@@ -88,6 +89,27 @@ def test_is_even_wheel():
     assert not is_even_wheel(g, _cert(g, outer))
     g, outer = make_necklace(2)
     assert not is_even_wheel(g, _cert(g, outer))
+
+
+def test_find_odd_run_prefers_true_fan(odd_fan_graph):
+    g, outer = odd_fan_graph
+    run = _odd_run(g, _cert(g, outer))
+    assert run.is_fan
+    assert len(run.run) == 3
+    assert run.center == 1
+
+
+def test_find_odd_run_falls_back_to_pseudo_fan(pseudo_fan_graph):
+    g, outer = pseudo_fan_graph
+    cert = _cert(g, outer)
+    # A center's leaf children are consecutive on the cycle, so its leaf
+    # count is its run length: every true fan's run is even.
+    leaves = Counter(cert.parent[w] for w in cert.cycle_order)
+    assert all(k % 2 == 0 for c, k in leaves.items() if g.degree(c) - k == 1)
+    run = _odd_run(g, cert)
+    assert not run.is_fan
+    assert len(run.run) == 1
+    assert run.center == 0
 
 
 def test_w5_three_colors():
