@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .graph import Graph
 
@@ -41,12 +42,9 @@ def make_wheel(n: int) -> tuple[Graph, set[int]]:
     """Wheel on n vertices: hub n-1 joined to the rim cycle 0..n-2."""
     if n < 4:
         raise ValueError("wheel needs at least 4 vertices")
-    g = Graph(n)
     hub = n - 1
-    for v in range(n - 1):
-        g.add_edge(hub, v)
-        g.add_edge(v, (v + 1) % (n - 1))
-    return g, set(range(n - 1))
+    edges = (e for v in range(hub) for e in ((hub, v), (v, (v + 1) % hub)))
+    return Graph.from_edges(n, edges), set(range(hub))
 
 
 def make_necklace(k: int) -> tuple[Graph, set[int]]:
@@ -59,20 +57,13 @@ def make_necklace(k: int) -> tuple[Graph, set[int]]:
     """
     if k < 2:
         raise ValueError("necklace needs spine length at least 2")
-    n = 2 * k + 2
-    g = Graph(n)
-    for i in range(k - 1):
-        g.add_edge(i, i + 1)
-    g.add_edge(0, k)            # first leaf, before the spine
-    g.add_edge(0, 2 * k + 1)    # last leaf, after the spine
-    for i in range(1, k - 1):
-        g.add_edge(i, k + i)
-    g.add_edge(k - 1, 2 * k - 1)
-    g.add_edge(k - 1, 2 * k)
     outer = list(range(k, 2 * k + 2))
-    for i, v in enumerate(outer):
-        g.add_edge(v, outer[(i + 1) % len(outer)])
-    return g, set(outer)
+    edges = [(i, i + 1) for i in range(k - 1)]
+    edges += [(0, k), (0, 2 * k + 1)]  # the first leaf, before the spine; the last, after
+    edges += [(i, k + i) for i in range(1, k - 1)]
+    edges += [(k - 1, 2 * k - 1), (k - 1, 2 * k)]
+    edges += zip(outer, outer[1:] + outer[:1])
+    return Graph.from_edges(2 * k + 2, edges), set(outer)
 
 
 def make_halin(spec: GenSpec) -> tuple[Graph, set[int]]:
@@ -147,10 +138,6 @@ def _grow_tree(n: int, rng: random.Random, cubic: bool) -> list[list[int]]:
 
 def _close_cycle(children: list[list[int]]) -> tuple[Graph, set[int]]:
     """Build the graph: tree edges plus the cycle in DFS leaf order."""
-    g = Graph(len(children))
-    for parent, kids in enumerate(children):
-        for kid in kids:
-            g.add_edge(parent, kid)
     order = []
     stack = [0]
     while stack:
@@ -159,6 +146,6 @@ def _close_cycle(children: list[list[int]]) -> tuple[Graph, set[int]]:
             stack.extend(reversed(children[v]))
         else:
             order.append(v)
-    for i, v in enumerate(order):
-        g.add_edge(v, order[(i + 1) % len(order)])
-    return g, set(order)
+    tree = ((parent, kid) for parent, kids in enumerate(children) for kid in kids)
+    cycle = zip(order, order[1:] + order[:1])
+    return Graph.from_edges(len(children), chain(tree, cycle)), set(order)

@@ -1,8 +1,9 @@
 """Simple undirected graph on dense integer vertex ids.
 
 Vertices are always the ids 0..n-1, with adjacency stored as per-vertex
-sets; ``add_vertex`` gives a new vertex the id n. No vertex is ever
-deleted.
+sets. A graph is built once, by ``Graph(n)`` or ``Graph.from_edges``, and
+never changes. Every edge of every graph passes one check,
+``_add_edges``.
 """
 
 from __future__ import annotations
@@ -12,23 +13,45 @@ from collections import deque
 from typing import Iterable, Iterator
 
 
+def _add_edges(adj: list[set[int]], pairs: Iterable) -> None:
+    """Add each pair (u, v) of ``pairs`` to the adjacency sets ``adj``.
+
+    Raises ValueError on the first entry that is not a pair of two
+    distinct int ids in 0..len(adj)-1; a float, a str, None or a bool is
+    no id. A repeated edge counts once.
+    """
+    n = len(adj)
+    for e in pairs:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise ValueError(f"edge entry {e!r} is not a pair") from None
+        if type(u) is not int or type(v) is not int or u == v or not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge {e!r} does not join two distinct vertices of 0..{n - 1}")
+        adj[u].add(v)
+        adj[v].add(u)
+
+
 class Graph:
-    """Mutable simple undirected graph: no self-loops, no parallel edges."""
+    """Immutable simple undirected graph: no self-loops, no parallel edges."""
 
     def __init__(self, n: int = 0):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self._adj: list[set[int]] = [set() for _ in range(n)]
         # A weak reference to the one certificate ``certify`` last built
-        # for this graph, or None; every mutator resets it. A weak
-        # reference keeps no certificate alive.
+        # for this graph, or None; as the graph never changes, that
+        # certificate describes it for good. A weak reference keeps no
+        # certificate alive.
         self._certified: weakref.ref | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on ids 0..n-1 with the given edges, each a pair of
+        distinct int ids (a bool is no id), else ValueError. A repeated
+        edge counts once."""
         g = cls(n)
-        for u, v in edges:
-            g.add_edge(u, v)
+        _add_edges(g._adj, edges)
         return g
 
     @property
@@ -43,38 +66,13 @@ class Graph:
     def _adjacency(self) -> list[set[int]]:
         """The adjacency sets themselves, indexed by id.
 
-        Package-internal, for hot loops that have already validated their
-        vertex ids and so skip the per-call checks. Read-only, except on a
-        graph the caller made itself (e.g. a fresh ``copy()``).
+        Package-internal and read-only, for hot loops that have already
+        validated their vertex ids and so skip the per-call checks.
         """
         return self._adj
 
     def has_vertex(self, v: int) -> bool:
         return 0 <= v < len(self._adj)
-
-    def add_vertex(self) -> int:
-        """Add an isolated vertex and return its id, the old n."""
-        self._certified = None
-        self._adj.append(set())
-        return len(self._adj) - 1
-
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError(f"self-loop rejected at vertex {u}")
-        self._check(u)
-        self._check(v)
-        self._certified = None
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-
-    def remove_edge(self, u: int, v: int) -> None:
-        self._check(u)
-        self._check(v)
-        if v not in self._adj[u]:
-            raise ValueError(f"edge ({u}, {v}) is not in the graph")
-        self._certified = None
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < len(self._adj) and v in self._adj[u]
@@ -84,8 +82,8 @@ class Graph:
         return len(self._adj[v])
 
     def neighbors(self, v: int) -> frozenset[int]:
-        """The neighbors of v, as a frozen copy: changing the graph goes
-        through the mutators, which also forget its certified certificate."""
+        """The neighbors of v, as a frozen copy, so that no caller can
+        change the graph through it."""
         self._check(v)
         return frozenset(self._adj[v])
 
@@ -118,12 +116,6 @@ class Graph:
                     seen.add(w)
                     queue.append(w)
         return len(seen) == len(self._adj)
-
-    def copy(self) -> "Graph":
-        g = Graph.__new__(Graph)
-        g._adj = list(map(set.copy, self._adj))
-        g._certified = None
-        return g
 
     def __getstate__(self) -> dict:
         # A weak reference cannot be pickled; the copy starts unchecked.

@@ -53,25 +53,11 @@ def graph_from_dict(obj: Any) -> tuple[Graph, set[int] | None]:
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be an array of [u, v] pairs')
-    # One pass straight into the adjacency sets of a fresh graph, with the
-    # checks of add_edge; a duplicate edge leaves fewer distinct edges.
-    g = Graph(n)
-    adj = g._adjacency()
-    for e in edges:
-        if not isinstance(e, list) or len(e) != 2:
-            raise GraphFormatError(f"bad edge entry: {e!r}")
-        u, v = e
-        if not (
-            isinstance(u, int) and isinstance(v, int)
-            and not isinstance(u, bool) and not isinstance(v, bool)
-        ):
-            raise GraphFormatError(f"bad edge entry: {e!r}")
-        if u == v:
-            raise GraphFormatError(f"self-loop rejected at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge {e!r} has a vertex id outside 0..{n - 1}")
-        adj[u].add(v)
-        adj[v].add(u)
+    try:
+        g = Graph.from_edges(n, edges)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
+    # A duplicate edge, in either orientation, leaves fewer distinct edges.
     if g.num_edges() != len(edges):
         raise GraphFormatError(
             f"duplicate edges: {len(edges)} listed, {g.num_edges()} distinct"

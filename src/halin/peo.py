@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .graph import Graph
+from .graph import Graph, _add_edges
 from .recognition import HalinCertificate, MalformedCertificateError, check_certificate
 
 
@@ -136,21 +136,13 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
 def chordal_completion(g: Graph, result: PeoResult) -> Graph:
     """The graph plus the fill edges recorded by peo_halin(g, ...).
 
-    Raises ValueError when a fill edge is a self-loop or has an endpoint
-    that is not a vertex of g; a bool endpoint counts as the int it
-    equals.
+    Raises ValueError, as ``Graph.from_edges`` does, when a fill edge is
+    not two distinct int ids of vertices of g; a float, a str, None or a
+    bool is no id.
     """
-    h = g.copy()
-    adj = h._adjacency()
-    n = len(adj)
-    try:
-        for u, v in result.fill_edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"fill edge ({u}, {v}) does not join two vertices of the graph")
-            adj[u].add(v)
-            adj[v].add(u)
-    except TypeError:  # from the range test or the index: a float, str or None
-        raise ValueError("a fill edge has an endpoint that is not a vertex id") from None
+    h = Graph()
+    h._adj = list(map(set.copy, g._adjacency()))
+    _add_edges(h._adj, result.fill_edges)
     return h
 
 

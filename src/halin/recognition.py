@@ -88,7 +88,7 @@ def certificate_from_outer(g: Graph, outer: set[int]) -> HalinCertificate:
     Raises MalformedCertificateError on any outer set that fails
     conditions (a)-(e) of ``certify``. Like every certificate ``certify``
     builds, the result is recorded on ``g``, so ``check_certificate``
-    passes it without a second check until g is changed.
+    passes it without a second check.
     """
     cert = certify(g, outer)
     if cert is None:
@@ -105,11 +105,10 @@ def check_certificate(g: Graph, cert: HalinCertificate) -> HalinCertificate:
     derived from its outer set. Callers go on with the returned object.
 
     Returns ``cert`` at once, without checking, when it is the very
-    object ``certify`` last built for ``g`` and no vertex has been added
-    to g, nor any edge added or removed, since. Such a certificate is
-    immutable (a frozen dataclass whose parent map refuses writes), so it
-    still describes g. An equal certificate built any other way is
-    checked in full.
+    object ``certify`` last built for ``g``. Both are immutable (a graph
+    never changes once built; a certificate is a frozen dataclass whose
+    parent map refuses writes), so it still describes g. An equal
+    certificate built any other way is checked in full.
     """
     if g._certified is not None and g._certified() is cert:
         return cert
@@ -134,7 +133,7 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     So an accepted g is connected and has minimum degree 3.
     The certificate is in the canonical form ``HalinCertificate``
     describes, with a read-only parent map, and ``check_certificate``
-    passes it on ``g`` without a second check until g is changed.
+    passes it on ``g`` without a second check.
     """
     outer = frozenset(outer)  # the certificate's own set; no copy if frozen
     adj = g._adjacency()

@@ -13,10 +13,7 @@ from halin import Graph
 def build_halin(children: list[list[int]]) -> tuple[Graph, set[int]]:
     """Graph from an ordered tree (per-vertex child lists, root 0) plus
     the leaf cycle in depth-first leaf order."""
-    g = Graph(len(children))
-    for parent, kids in enumerate(children):
-        for kid in kids:
-            g.add_edge(parent, kid)
+    tree = [(parent, kid) for parent, kids in enumerate(children) for kid in kids]
     leaves = []
     stack = [0]
     while stack:
@@ -25,9 +22,8 @@ def build_halin(children: list[list[int]]) -> tuple[Graph, set[int]]:
             stack.extend(reversed(children[v]))
         else:
             leaves.append(v)
-    for i, v in enumerate(leaves):
-        g.add_edge(v, leaves[(i + 1) % len(leaves)])
-    return g, set(leaves)
+    cycle = list(zip(leaves, leaves[1:] + leaves[:1]))
+    return Graph.from_edges(len(children), tree + cycle), set(leaves)
 
 
 @pytest.fixture(scope="session")

@@ -8,12 +8,14 @@ import random
 import statistics
 import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from halin import (
     ColoringTrace,
     GenSpec,
+    Graph,
     certificate_from_outer,
     chordal_completion,
     chromatic_number_bruteforce,
@@ -201,35 +203,27 @@ def test_criterion_5_recognition_round_trip():
         g, outer = generate(GenSpec(n, variant, seed=5000 + i))
         order = certify(g, outer).cycle_order
 
-        cut = g.copy()  # cycle-edge deletion leaves a degree-2 vertex
-        j = rng.randrange(len(order))
-        cut.remove_edge(order[j], order[(j + 1) % len(order)])
+        edges = list(g.edges())
+        j = rng.randrange(len(order))  # cycle-edge deletion leaves a degree-2 vertex
+        gone = {order[j], order[(j + 1) % len(order)]}
+        cut = Graph.from_edges(g.n, [e for e in edges if set(e) != gone])
         if recognize(cut).is_halin:
             failures.append((i, "cycle-deletion accepted"))
         rejected += 1
 
-        dense = g.copy()  # K5 clique injection breaks planarity
-        vs = rng.sample(range(dense.n), 5)
-        for a in range(5):
-            for b in range(a + 1, 5):
-                if not dense.has_edge(vs[a], vs[b]):
-                    dense.add_edge(vs[a], vs[b])
+        vs = rng.sample(range(g.n), 5)  # K5 clique injection breaks planarity
+        dense = Graph.from_edges(g.n, edges + list(combinations(vs, 2)))
         if recognize(dense).is_halin:
             failures.append((i, "K5 injection accepted"))
         rejected += 1
 
-        sub = g.copy()  # subdivision introduces a degree-2 vertex
-        u, v = sorted(sub.edges())[rng.randrange(sub.num_edges())]
-        w = sub.add_vertex()
-        sub.remove_edge(u, v)
-        sub.add_edge(u, w)
-        sub.add_edge(w, v)
+        u, v = sorted(edges)[rng.randrange(len(edges))]  # subdivision introduces a degree-2 vertex
+        w = g.n
+        sub = Graph.from_edges(g.n + 1, [e for e in edges if e != (u, v)] + [(u, w), (w, v)])
         if recognize(sub).is_halin:
             failures.append((i, "subdivision accepted"))
         rejected += 1
     assert rejected >= 500
-
-    from halin import Graph
 
     for seed in range(50):  # explicit degree-2 and disconnected inputs
         rng2 = random.Random(seed)
@@ -239,11 +233,8 @@ def test_criterion_5_recognition_round_trip():
             failures.append((seed, "path accepted"))
         g1, _ = generate(GenSpec(rng2.randint(4, 30), "halin", seed=seed))
         g2, _ = generate(GenSpec(rng2.randint(4, 30), "halin", seed=seed + 1))
-        both = Graph(g1.n + g2.n)
-        for u, v in g1.edges():
-            both.add_edge(u, v)
-        for u, v in g2.edges():
-            both.add_edge(g1.n + u, g1.n + v)
+        shifted = [(g1.n + u, g1.n + v) for u, v in g2.edges()]
+        both = Graph.from_edges(g1.n + g2.n, [*g1.edges(), *shifted])
         if recognize(both).is_halin:
             failures.append((seed, "disconnected accepted"))
     _report(

@@ -1,6 +1,6 @@
 """A certificate from ``certify`` is checked once per graph: later checks
-of that same object on the unchanged graph are skipped, and every
-change to the graph, or any other certificate, brings the full check back."""
+of that same object are skipped, as neither can change, and any other
+certificate brings the full check back."""
 
 import copy
 import pickle
@@ -9,6 +9,7 @@ import pytest
 
 from halin import (
     GenSpec,
+    Graph,
     MalformedCertificateError,
     color_halin,
     generate,
@@ -23,33 +24,36 @@ def _certified(n=30, seed=2):
     return g, recognize(g).certificate
 
 
-def _add_edge(g, cert):
+def _edge_added(g, cert):
     inner = sorted(set(g.vertices()) - cert.outer)
-    u, v = next((a, b) for a in inner for b in sorted(cert.outer) if not g.has_edge(a, b))
-    g.add_edge(u, v)
+    chord = next((a, b) for a in inner for b in sorted(cert.outer) if not g.has_edge(a, b))
+    return Graph.from_edges(g.n, [*g.edges(), chord])
 
 
-def _remove_edge(g, cert):
-    g.remove_edge(cert.cycle_order[0], cert.cycle_order[1])
+def _edge_removed(g, cert):
+    cut = {cert.cycle_order[0], cert.cycle_order[1]}
+    return Graph.from_edges(g.n, [e for e in g.edges() if set(e) != cut])
 
 
-def _add_vertex(g, cert):
-    g.add_vertex()
+def _vertex_added(g, cert):
+    return Graph.from_edges(g.n + 1, g.edges())
 
 
 @pytest.mark.parametrize(
-    "mutate", [_add_edge, _remove_edge, _add_vertex],
-    ids=["add_edge", "remove_edge", "add_vertex"],
+    "edit", [_edge_added, _edge_removed, _vertex_added],
+    ids=["edge-added", "edge-removed", "vertex-added"],
 )
-def test_mutation_brings_the_full_check_back(mutate):
+def test_edited_rebuild_is_checked_in_full(edit):
+    # The record is per graph: a graph built from g's edges with one edit
+    # does not trust the certificate g recorded.
     g, cert = _certified()
     color_halin(g, cert)
     peo_halin(g, cert)
-    mutate(g, cert)
+    h = edit(g, cert)
     with pytest.raises(MalformedCertificateError):
-        color_halin(g, cert)
+        color_halin(h, cert)
     with pytest.raises(MalformedCertificateError):
-        peo_halin(g, cert)
+        peo_halin(h, cert)
 
 
 def test_equal_certificate_is_checked_in_full():
@@ -58,8 +62,8 @@ def test_equal_certificate_is_checked_in_full():
     # own result on g in place of cert.
     other = HalinCertificate(cert.outer, cert.cycle_order, dict(cert.parent), cert.root)
     assert other == cert and other is not cert
-    # Change g behind its mutators' back, so that it still records cert:
-    # only the very object certify built skips the check.
+    # Change g's own adjacency sets, so that it still records cert: only
+    # the very object certify built skips the check.
     inner = sorted(set(g.vertices()) - cert.outer)
     u, v = next((a, b) for a in inner for b in inner if a < b and not g.has_edge(a, b))
     adj = g._adjacency()
@@ -77,7 +81,6 @@ def test_equal_certificate_is_checked_in_full():
 def test_fresh_and_copied_graphs_record_nothing():
     g, cert = _certified()
     assert g._certified() is cert
-    assert g.copy()._certified is None
     h, _ = generate(GenSpec(30, "halin", seed=2))
     assert h._certified is None
 
@@ -125,8 +128,8 @@ def test_certified_graph_pickles_without_its_record():
 
 
 def test_neighbors_cannot_change_the_graph():
-    # Adding to the set neighbors returned used to add an edge behind the
-    # mutators, so the check of the recorded certificate was skipped on a
+    # Adding to the set neighbors returned used to add an edge to the
+    # graph, so the check of the recorded certificate was skipped on a
     # graph it no longer described.
     g, cert = _certified()
     m = g.num_edges()

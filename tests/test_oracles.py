@@ -13,11 +13,7 @@ from halin import (
 
 
 def _random_graph(rng, n, p):
-    g = Graph(n)
-    for u, v in combinations(range(n), 2):
-        if rng.random() < p:
-            g.add_edge(u, v)
-    return g
+    return Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
 def test_chromatic_number_small_cases():
@@ -54,8 +50,7 @@ def test_chromatic_number_monotone_under_edge_addition():
         if not non_edges:
             continue
         before = chromatic_number_bruteforce(g, 5)
-        u, v = rng.choice(non_edges)
-        g.add_edge(u, v)
+        g = Graph.from_edges(n, [*g.edges(), rng.choice(non_edges)])
         after = chromatic_number_bruteforce(g, 5)
         if before is not None and after is not None:
             assert after >= before
@@ -65,8 +60,7 @@ def test_chordal_small_cases():
     c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert not is_chordal_bruteforce(c4)
     assert is_chordal_bruteforce(make_wheel(4)[0])
-    w5_filled, _ = make_wheel(5)
-    w5_filled.add_edge(0, 2)
+    w5_filled = Graph.from_edges(5, [*make_wheel(5)[0].edges(), (0, 2)])
     assert is_chordal_bruteforce(w5_filled)
     tree = Graph.from_edges(5, [(0, 1), (0, 2), (2, 3), (2, 4)])
     assert is_chordal_bruteforce(tree)

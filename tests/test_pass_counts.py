@@ -61,12 +61,12 @@ def _non_halin():
     """Rejected inputs that reach certify's candidates by both routes:
     a hub joined to all others (no reduction) and a reduced residue."""
     wheel, _ = make_wheel(12)
-    wheel.add_edge(0, 5)  # a rim chord: 12 edges of the rim's 11 + 1
-    yield wheel
+    # A rim chord: 12 edges of the rim's 11 + 1.
+    yield Graph.from_edges(12, [*wheel.edges(), (0, 5)])
     g, outer = generate(GenSpec(40, "halin", seed=3))
     inner = sorted(set(g.vertices()) - outer)
-    g.add_edge(*next((a, b) for a in inner for b in outer if not g.has_edge(a, b)))
-    yield g
+    chord = next((a, b) for a in inner for b in outer if not g.has_edge(a, b))
+    yield Graph.from_edges(g.n, [*g.edges(), chord])
     yield Graph.from_edges(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])  # K5
     yield Graph.from_edges(
         8,
@@ -100,8 +100,8 @@ def test_low_degree_inputs_skip_the_reduction(monkeypatch):
     corner = Graph.from_edges(
         7, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (3, 4), (3, 5), (4, 5), (5, 6), (3, 6), (4, 6)]
     )
-    pendant, _ = generate(GenSpec(20, "halin", seed=4))
-    pendant.add_edge(0, pendant.add_vertex())
+    halin, _ = generate(GenSpec(20, "halin", seed=4))
+    pendant = Graph.from_edges(21, [*halin.edges(), (0, 20)])
     for g in (corner, pendant):
         assert recognize(g).reason == recognition.REASON_LOW_DEGREE
     assert reduced == []

@@ -97,11 +97,8 @@ def test_verify_rejects_hub_swap():
 def test_verify_rejects_degree2_inner_node():
     # K4 with one tree edge subdivided: the new inner vertex has
     # tree-degree 2.
-    g, rim = make_wheel(4)  # hub 3
-    g.remove_edge(3, 0)
-    w = g.add_vertex()
-    g.add_edge(3, w)
-    g.add_edge(w, 0)
+    g, rim = make_wheel(4)  # hub 3, subdivided by vertex 4
+    g = Graph.from_edges(5, [e for e in g.edges() if e != (0, 3)] + [(3, 4), (4, 0)])
     assert not verify_halin(g, rim)
 
 
@@ -114,11 +111,10 @@ def test_verify_rejects_non_cycle_outer():
 def test_verify_rejects_contiguity_violation():
     # Valid tree and leaf cycle, but the cycle order interleaves the two
     # fans, which no planar embedding can realize.
-    g = Graph(8)
-    for parent, kid in [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (0, 7)]:
-        g.add_edge(parent, kid)
-    for u, v in [(3, 5), (5, 4), (4, 6), (6, 7), (7, 3)]:
-        g.add_edge(u, v)
+    g = Graph.from_edges(8, [
+        (0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (0, 7),  # the tree
+        (3, 5), (5, 4), (4, 6), (6, 7), (7, 3),  # the cycle
+    ])
     assert not verify_halin(g, {3, 4, 5, 6, 7})
 
 
@@ -206,12 +202,10 @@ def test_recognize_agrees_with_bruteforce():
         if variant in ("halin_cubic", "necklace") and n % 2:
             n -= 1
         g = _relabel(generate(GenSpec(n, variant, seed=seed))[0], rng)
-        if seed % 2:
+        if seed % 2:  # toggle one vertex pair
             u, v = rng.sample(range(g.n), 2)
-            if g.has_edge(u, v):
-                g.remove_edge(u, v)
-            else:
-                g.add_edge(u, v)
+            toggled = {(min(u, v), max(u, v))}
+            g = Graph.from_edges(g.n, set(g.edges()) ^ toggled)
         expected = is_halin_bruteforce(g)
         assert recognize(g).is_halin == expected, sorted(g.edges())
         halin += expected
@@ -224,7 +218,8 @@ def test_cycle_edge_deletion_rejected(seed):
     g, outer = make_halin(GenSpec(rng.randint(5, 80), seed=seed))
     order = certify(g, outer).cycle_order
     i = rng.randrange(len(order))
-    g.remove_edge(order[i], order[(i + 1) % len(order)])
+    cut = {order[i], order[(i + 1) % len(order)]}
+    g = Graph.from_edges(g.n, [e for e in g.edges() if set(e) != cut])
     assert not recognize(g).is_halin
 
 
@@ -335,10 +330,8 @@ def test_rejection_reasons_keep_their_order():
     g, _ = generate(GenSpec(20, "halin", seed=4))
     h, _ = generate(GenSpec(12, "halin_cubic", seed=5))
     assert recognize(g).is_halin and recognize(h).is_halin
-    isolated = g.copy()
-    isolated.add_vertex()
+    isolated = Graph.from_edges(g.n + 1, g.edges())
     assert recognize(isolated).reason == REASON_DISCONNECTED
     assert recognize(_disjoint_union(g, h)).reason == REASON_DISCONNECTED
-    pendant = g.copy()
-    pendant.add_edge(0, pendant.add_vertex())
+    pendant = Graph.from_edges(g.n + 1, [*g.edges(), (0, g.n)])
     assert recognize(pendant).reason == REASON_LOW_DEGREE
