@@ -76,10 +76,26 @@ def test_degree_sum_is_twice_edge_count():
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
         g = Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
         assert sum(g.degree(v) for v in g.vertices()) == 2 * g.num_edges()
-        for u in g.vertices():
-            for v in g.neighbors(u):
-                assert u in g.neighbors(v)
-                assert u != v
+
+
+def test_symmetry_after_mutations():
+    # The 300 random adds and removes edit an edge list; the graph is built
+    # from what is left, with repeats in either orientation.
+    rng = random.Random(11)
+    pairs = []
+    for _ in range(300):
+        op = rng.random()
+        u, v = rng.randrange(20), rng.randrange(20)
+        if op < 0.6 and u != v:
+            pairs.append((u, v))
+        elif op < 0.8:
+            pairs = [p for p in pairs if {p[0], p[1]} != {u, v}]
+    g = Graph.from_edges(20, pairs)
+    assert g.num_edges() == len({frozenset(p) for p in pairs}) > 0
+    for u in g.vertices():
+        for v in g.neighbors(u):
+            assert u in g.neighbors(v)
+            assert u != v
 
 
 # JSON graph format
