@@ -1,5 +1,6 @@
-"""Outputs pinned across rewrites of the core, and the one-pass certifier
-checked against the step-by-step certificate builder."""
+"""Outputs pinned across rewrites of the core and of the command line,
+and the one-pass certifier checked against the step-by-step certificate
+builder."""
 
 import hashlib
 import json
@@ -17,6 +18,7 @@ from halin import (
     recognize,
     verify_halin,
 )
+from halin.cli import main
 from halin.recognition import certify
 from reference import reference_certificate
 
@@ -119,3 +121,67 @@ def test_certify_rejects_perturbed_outer_sets():
         for bad in (dropped, swapped):
             assert certify(g, bad) is None
             assert not verify_halin(g, bad)
+
+
+# The halin command line, run in-process in an empty directory on small
+# generated graphs (each with its "outer" field and without it) and on
+# two non-Halin graphs. sha256 of [[argv, exit code, stdout] per run,
+# {name: text} of every file in the directory afterwards].
+CLI_SPECS = [
+    ("halin", 20, 5), ("halin", 40, 2), ("halin-cubic", 16, 3),
+    ("necklace", 12, 0), ("wheel", 6, 0), ("wheel", 9, 0),
+]
+NON_HALIN = {
+    "c6": {"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]},
+    "cube": {
+        "n": 8,
+        "edges": [[u, u ^ b] for u in range(8) for b in (1, 2, 4) if u < u ^ b],
+        "outer": [0, 1, 3, 2],
+    },
+}
+CLI_PINNED = "733b9267c11869ea624c0c7e434f12592daab25cc38cabeeede2b1d2d950a686"
+
+
+def test_cli_output_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runs = []
+
+    def run(*argv):
+        code = main(list(argv))
+        runs.append([list(argv), code, capsys.readouterr().out])
+
+    inputs = []
+    for variant, n, seed in CLI_SPECS:
+        name = f"{variant}-{n}"
+        spec = ["--variant", variant, "--n", str(n), "--seed", str(seed)]
+        run("generate", *spec)
+        run("generate", *spec, "--out", f"{name}.json")
+        doc = json.loads((tmp_path / f"{name}.json").read_text())
+        del doc["outer"]
+        (tmp_path / f"{name}-bare.json").write_text(json.dumps(doc))
+        inputs += [name, f"{name}-bare"]
+    for name, doc in NON_HALIN.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        inputs.append(name)
+    for name in inputs:
+        graph = f"{name}.json"
+        run("recognize", "--in", graph, "--emit-certificate", f"{name}.cert.json")
+        run("color", "--in", graph, "--dot", f"{name}.dot")
+        run("color", "--in", graph, "--certificate", f"{name}.cert.json")
+        run("peo", "--in", graph, "--emit-completion", f"{name}.completion.json")
+        run("peo", "--in", graph, "--certificate", f"{name}.cert.json")
+        for mode in ("coloring", "chordal", "peo"):
+            run("verify", "--in", graph, "--mode", mode)
+    # A certificate of another graph, and a file that is not JSON.
+    run("color", "--in", "halin-20.json", "--certificate", "halin-40.cert.json")
+    (tmp_path / "broken.json").write_text('{"n": 4, "edges": [[0, 1]')
+    run("peo", "--in", "broken.json")
+
+    for name in NON_HALIN:
+        # color, peo and the three verify modes say no; --certificate
+        # names a file recognize did not write.
+        codes = [code for argv, code, _ in runs if argv[2] == f"{name}.json" and argv[0] != "recognize"]
+        assert codes == [1, 2, 1, 2, 1, 1, 1], name
+    files = {path.name: path.read_text() for path in sorted(tmp_path.iterdir())}
+    doc = json.dumps([runs, files])
+    assert hashlib.sha256(doc.encode()).hexdigest() == CLI_PINNED
