@@ -1,8 +1,10 @@
 """Command line surface: generate, recognize, color, peo, verify.
 
-Every command prints structured JSON on stdout. Exit codes: 0 success,
-1 negative decision (input is not Halin, a check failed), 2 usage or
-I/O error.
+Every command prints structured JSON on stdout, in ``json.dumps``'
+default layout. Exit codes: 0 success, 1 negative decision (input is
+not Halin, a check failed), 2 usage or I/O error. A graph that is not
+Halin prints {"halin": false, "reason": ...}; verify adds its "mode"
+first and "ok": false last.
 """
 
 from __future__ import annotations
@@ -43,24 +45,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output file (default: stdout)")
+    p.set_defaults(run=_cmd_generate)
 
     p = sub.add_parser("recognize", help="decide Halin-ness; exit 0 yes, 1 no")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--emit-certificate", dest="cert_out")
+    p.set_defaults(run=_cmd_recognize)
 
     p = sub.add_parser("color", help="optimal vertex coloring")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--certificate", dest="cert_in")
     p.add_argument("--dot", dest="dot_out", help="also write a DOT rendering")
+    p.set_defaults(run=_cmd_color)
 
     p = sub.add_parser("peo", help="perfect elimination ordering of a chordal completion")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--certificate", dest="cert_in")
     p.add_argument("--emit-completion", dest="completion_out")
+    p.set_defaults(run=_cmd_peo)
 
     p = sub.add_parser("verify", help="brute-force audits for small graphs")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mode", required=True, choices=("coloring", "chordal", "peo"))
+    p.set_defaults(run=_cmd_verify, cert_in=None)
 
     return parser
 
@@ -68,68 +75,56 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
-    except (gio.GraphFormatError, OSError, ValueError) as exc:
+        return args.run(args)
+    except (OSError, ValueError) as exc:  # a GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "generate":
-        return _cmd_generate(args)
-    if args.command == "recognize":
-        return _cmd_recognize(args)
-    if args.command == "color":
-        return _cmd_color(args)
-    if args.command == "peo":
-        return _cmd_peo(args)
-    return _cmd_verify(args)
-
-
 def _emit(obj) -> None:
-    print(json.dumps(obj, separators=(", ", ": ")))
+    print(json.dumps(obj))
+
+
+def _not_halin(reason: str) -> dict:
+    return {"halin": False, "reason": reason}
+
+
+def _certified(
+    args: argparse.Namespace, rejection=_not_halin
+) -> tuple[Graph, HalinCertificate | None]:
+    """The graph of ``args.infile`` and its certificate: from ``--certificate``
+    through ``check_certificate`` (a mismatch raises a ValueError), else
+    from the file's "outer" field if that certifies the graph, else from
+    recognition. Prints ``rejection(reason)`` and gives None for a graph
+    that is not Halin."""
+    g, outer = gio.load_graph(args.infile)
+    if args.cert_in:
+        return g, check_certificate(g, gio.load_certificate(args.cert_in))
+    cert = certify(g, outer) if outer is not None else None
+    if cert is None:
+        result = recognize(g)
+        cert = result.certificate
+        if cert is None:
+            _emit(rejection(result.reason))
+    return g, cert
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     spec = GenSpec(n=args.n, variant=args.variant.replace("-", "_"), seed=args.seed)
     g, outer = generate(spec)
-    text = gio.dumps_graph(g, outer)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        gio.save_graph(args.out, g, outer)
         _emit({"written": args.out, "n": g.n, "m": g.num_edges()})
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(gio.dumps_graph(g, outer))
     return 0
-
-
-def _certificate(
-    g: Graph, outer: set[int] | None, cert_in: str | None
-) -> tuple[HalinCertificate | None, str | None]:
-    """A certificate for the loaded graph, recognizing when none was supplied.
-
-    A supplied certificate file goes through ``check_certificate``: it is
-    a MalformedCertificateError, a ValueError, when its outer set does not
-    certify the graph or the document's other fields differ from the
-    ones derived from it. ``outer``, the graph file's "outer" field, is
-    used when it certifies, otherwise recognition runs from scratch.
-    Returns (certificate, reason).
-    """
-    if cert_in:
-        return check_certificate(g, gio.load_certificate(cert_in)), None
-    if outer is not None:
-        cert = certify(g, outer)
-        if cert is not None:
-            return cert, None
-    result = recognize(g)
-    return result.certificate, result.reason
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
     g, _outer = gio.load_graph(args.infile)
     result = recognize(g)
     if not result.is_halin:
-        _emit({"halin": False, "reason": result.reason})
+        _emit(_not_halin(result.reason))
         return 1
     cert = result.certificate
     if args.cert_out:
@@ -139,15 +134,12 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def _cmd_color(args: argparse.Namespace) -> int:
-    g, outer = gio.load_graph(args.infile)
-    cert, reason = _certificate(g, outer, args.cert_in)
+    g, cert = _certified(args)
     if cert is None:
-        _emit({"halin": False, "reason": reason})
         return 1
     colors = color_halin(g, cert)
     if args.dot_out:
-        with open(args.dot_out, "w", encoding="utf-8") as f:
-            gio.write_dot(f, g, colors=colors, outer=set(cert.outer))
+        gio.write_dot(args.dot_out, g, colors, cert.outer)
     _emit(
         {
             "colors": {str(v): c for v, c in sorted(colors.items())},
@@ -158,10 +150,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
 
 
 def _cmd_peo(args: argparse.Namespace) -> int:
-    g, outer = gio.load_graph(args.infile)
-    cert, reason = _certificate(g, outer, args.cert_in)
+    g, cert = _certified(args)
     if cert is None:
-        _emit({"halin": False, "reason": reason})
         return 1
     result = peo_halin(g, cert)
     if args.completion_out:
@@ -176,15 +166,14 @@ def _cmd_peo(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g, outer = gio.load_graph(args.infile)
     if args.mode == "chordal":
+        g, _outer = gio.load_graph(args.infile)
         ok = is_chordal_bruteforce(g)
         _emit({"mode": "chordal", "chordal": ok, "ok": ok})
         return 0 if ok else 1
 
-    cert, reason = _certificate(g, outer, None)
+    g, cert = _certified(args, lambda r: {"mode": args.mode, **_not_halin(r), "ok": False})
     if cert is None:
-        _emit({"mode": args.mode, "halin": False, "reason": reason, "ok": False})
         return 1
     if args.mode == "coloring":
         colors = color_halin(g, cert)

@@ -1,9 +1,11 @@
 """Simple undirected graph on dense integer vertex ids.
 
 Vertices are always the ids 0..n-1, with adjacency stored as per-vertex
-sets. A graph is built once, by ``Graph(n)`` or ``Graph.from_edges``, and
-never changes. Every edge of every graph passes one check,
-``_add_edges``.
+sets. A vertex id is an int (``type(v) is int``, so a bool is no id) in
+0..n-1: ``has_vertex`` says False to anything else, and ``degree``,
+``neighbors`` and ``has_edge`` raise ValueError. A graph is built once, by ``Graph(n)`` or
+``Graph.from_edges``, and never changes. Every edge of every graph passes
+one check, ``_add_edges``.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ class Graph:
     """Immutable simple undirected graph: no self-loops, no parallel edges."""
 
     def __init__(self, n: int = 0):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+        if type(n) is not int or n < 0:
+            raise ValueError("vertex count must be a non-negative int")
+        # The package's hot loops read _adj directly, without id checks.
         self._adj: list[set[int]] = [set() for _ in range(n)]
         # A weak reference to the one certificate ``certify`` last built
         # for this graph, or None; as the graph never changes, that
@@ -60,22 +63,16 @@ class Graph:
         return len(self._adj)
 
     def _check(self, v: int) -> None:
-        if not 0 <= v < len(self._adj):
-            raise ValueError(f"vertex {v} is not in the graph")
-
-    def _adjacency(self) -> list[set[int]]:
-        """The adjacency sets themselves, indexed by id.
-
-        Package-internal and read-only, for hot loops that have already
-        validated their vertex ids and so skip the per-call checks.
-        """
-        return self._adj
+        if type(v) is not int or not 0 <= v < len(self._adj):
+            raise ValueError(f"vertex {v!r} is not in the graph")
 
     def has_vertex(self, v: int) -> bool:
-        return 0 <= v < len(self._adj)
+        return type(v) is int and 0 <= v < len(self._adj)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < len(self._adj) and v in self._adj[u]
+        self._check(u)
+        self._check(v)
+        return v in self._adj[u]
 
     def degree(self, v: int) -> int:
         self._check(v)

@@ -3,15 +3,16 @@
 Graph JSON is an object with fields "n" (vertex count), "edges"
 (array of [u, v] pairs) and an optional "outer" (array of outer-cycle
 vertex ids). Unknown fields, self-loops, duplicate edges (in either
-orientation) and ids outside 0..n-1 are rejected. Serialization is canonical
-(sorted edges, fixed key order) so equal graphs produce identical bytes.
+orientation) and ids outside 0..n-1 are rejected, as is a file that is
+not JSON. Serialization is canonical (sorted edges, fixed key order,
+``json.dumps``' default layout) so equal graphs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import IO, Any
+from typing import AbstractSet, Any
 
 from .graph import Graph
 from .recognition import HalinCertificate
@@ -26,7 +27,7 @@ class GraphFormatError(ValueError):
 
 
 def _is_id(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    return type(x) is int  # the rule of Graph: a bool is no id
 
 
 def graph_to_dict(g: Graph, outer: set[int] | None = None) -> dict[str, Any]:
@@ -48,7 +49,7 @@ def graph_from_dict(obj: Any) -> tuple[Graph, set[int] | None]:
     if "n" not in obj or "edges" not in obj:
         raise GraphFormatError('fields "n" and "edges" are required')
     n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _is_id(n) or n < 0:
         raise GraphFormatError('"n" must be a non-negative integer')
     edges = obj["edges"]
     if not isinstance(edges, list):
@@ -76,8 +77,16 @@ def graph_from_dict(obj: Any) -> tuple[Graph, set[int] | None]:
     return g, outer
 
 
+def _read_json(path: str) -> Any:
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"invalid JSON: {exc}") from None
+
+
 def dumps_graph(g: Graph, outer: set[int] | None = None) -> str:
-    return json.dumps(graph_to_dict(g, outer), separators=(", ", ": ")) + "\n"
+    return json.dumps(graph_to_dict(g, outer)) + "\n"
 
 
 def save_graph(path: str, g: Graph, outer: set[int] | None = None) -> None:
@@ -86,12 +95,7 @@ def save_graph(path: str, g: Graph, outer: set[int] | None = None) -> None:
 
 
 def load_graph(path: str) -> tuple[Graph, set[int] | None]:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"invalid JSON: {exc}") from None
-    return graph_from_dict(obj)
+    return graph_from_dict(_read_json(path))
 
 
 def certificate_to_dict(cert: HalinCertificate) -> dict[str, Any]:
@@ -139,40 +143,27 @@ def certificate_from_dict(obj: Any) -> HalinCertificate:
 
 
 def load_certificate(path: str) -> HalinCertificate:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"invalid JSON: {exc}") from None
-    return certificate_from_dict(obj)
+    return certificate_from_dict(_read_json(path))
 
 
 def save_certificate(path: str, cert: HalinCertificate) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(certificate_to_dict(cert), separators=(", ", ": ")) + "\n")
+        f.write(json.dumps(certificate_to_dict(cert)) + "\n")
 
 
 # One fill color per color index c1..c4.
 _PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3")
 
 
-def write_dot(
-    f: IO[str],
-    g: Graph,
-    colors: dict[int, int] | None = None,
-    outer: set[int] | None = None,
-) -> None:
-    """Write a DOT rendering; cycle edges are drawn bold, tree edges thin."""
-    f.write("graph halin {\n")
-    f.write('  node [shape=circle, style=filled, fillcolor="#eeeeee"];\n')
-    for v in sorted(g.vertices()):
-        if colors is not None and v in colors:
+def write_dot(path: str, g: Graph, colors: dict[int, int], outer: AbstractSet[int]) -> None:
+    """Write a DOT rendering: each vertex filled with its color (``colors``
+    maps every vertex), cycle edges (both ends in ``outer``) drawn bold,
+    tree edges thin."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write('graph halin {\n  node [shape=circle, style=filled, fillcolor="#eeeeee"];\n')
+        for v in g.vertices():
             f.write(f'  {v} [fillcolor="{_PALETTE[colors[v] % 4]}"];\n')
-        else:
-            f.write(f"  {v};\n")
-    for u, v in sorted(g.edges()):
-        if outer is not None and u in outer and v in outer:
-            f.write(f"  {u} -- {v} [penwidth=2.5];\n")
-        else:
-            f.write(f"  {u} -- {v};\n")
-    f.write("}\n")
+        for u, v in sorted(g.edges()):
+            bold = " [penwidth=2.5]" if u in outer and v in outer else ""
+            f.write(f"  {u} -- {v}{bold};\n")
+        f.write("}\n")

@@ -141,7 +141,7 @@ def chordal_completion(g: Graph, result: PeoResult) -> Graph:
     bool is no id.
     """
     h = Graph()
-    h._adj = list(map(set.copy, g._adjacency()))
+    h._adj = list(map(set.copy, g._adj))
     _add_edges(h._adj, result.fill_edges)
     return h
 
@@ -151,7 +151,7 @@ def verify_peo(filled: Graph, order: list[int]) -> bool:
     vs = set(filled.vertices())
     if len(order) != len(vs) or set(order) != vs:
         raise ValueError("order is not a permutation of the vertex set")
-    adj = filled._adjacency()
+    adj = filled._adj
     done: set[int] = set()
     for v in order:
         done.add(v)
@@ -168,7 +168,7 @@ def treewidth_from_peo(filled: Graph, order: list[int]) -> int:
     """Max count of later neighbors over the order; 3 for Halin completions."""
     if not verify_peo(filled, order):
         raise ValueError("order is not a perfect elimination ordering")
-    adj = filled._adjacency()
+    adj = filled._adj
     done: set[int] = set()
     width = 0
     for v in order:

@@ -136,7 +136,7 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     passes it on ``g`` without a second check.
     """
     outer = frozenset(outer)  # the certificate's own set; no copy if frozen
-    adj = g._adjacency()
+    adj = g._adj
     # Ids are ints in 0..n-1; a str, a float or a bool is no id.
     if len(outer) < 3 or set(map(type, outer)) != {int}:
         return None
@@ -181,10 +181,9 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     # (b) BFS over the non-cycle edges from the smallest inner vertex. An
     # outer vertex has exactly one of those, to the vertex it was reached
     # from, so only inner vertices, whose edges are all non-cycle, are
-    # expanded. top[v] is the child of the root above v.
-    root = next(filterfalse(outer.__contains__, g.vertices()), None)
-    if root is None:
-        return None
+    # expanded. top[v] is the child of the root above v. Some vertex is
+    # inner: with all n outer and of degree 3, m - n = n/2 != n - 1.
+    root = next(filterfalse(outer.__contains__, g.vertices()))
     parent = [-1] * n  # by id, -1 until reached; the map is built at the end
     top = [0] * n
     parent[root] = root
@@ -211,13 +210,9 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
 
     # (e) Arc-contiguity. Rotate the cycle so it starts at a boundary
     # between two root subtrees; valid arcs then never wrap, and a leaf
-    # interval is contiguous iff count == max - min + 1.
-    boundary = next(
-        (i for i in range(cyc_len) if top[order[i]] != top[order[i - 1]]), None
-    )
-    if boundary is None:
-        # Single root subtree: the root would have tree-degree 1.
-        return None
+    # interval is contiguous iff count == max - min + 1. The root has
+    # three or more subtrees, each with a leaf, so a boundary exists.
+    boundary = next(i for i in range(cyc_len) if top[order[i]] != top[order[i - 1]])
     lo = [cyc_len] * n
     hi = [-1] * n
     cnt = [0] * n
@@ -267,7 +262,7 @@ def recognize(g: Graph) -> RecognitionResult:
     to that path without reducing it.
     """
     n = g.n
-    src = g._adjacency()
+    src = g._adj
     hubs: list[int] = []
     # A Halin graph has at least four vertices, each of degree 3 or more;
     # any other input goes straight to the rejection path.
@@ -348,9 +343,7 @@ def _reduce(src: list[set[int]]) -> tuple[list[set[int]], list[tuple[int, ...]]]
             if len(ny) != 3:
                 continue
             v, x_out = (o1, o2) if in1 else (o2, o1)
-            y_out = sum(ny) - x - v  # ny is {x, v, y_out}
-            if x_out == y_out:
-                continue
+            y_out = sum(ny) - x - v  # ny is {x, v, y_out}; in1 != in2, so y_out != x_out
             if len(adj[v]) > 3:
                 # merge (x, y): y is deleted, x joined to y_out.
                 adj[v].discard(y)

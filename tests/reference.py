@@ -25,7 +25,7 @@ def outer_cycle_order(g: Graph, outer: set[int]) -> list[int]:
     for w in outer:
         if not g.has_vertex(w):
             raise ValueError(f"outer vertex {w} is not in the graph")
-    adj = g._adjacency()
+    adj = g._adj
     start = min(outer)
     first = sorted(adj[start] & outer)
     if len(first) != 2:
@@ -57,7 +57,7 @@ def inner_tree(g: Graph, outer: set[int]) -> tuple[dict[int, int], int]:
     if not inner:
         raise MalformedCertificateError("no inner vertex available as tree root")
     root = min(inner)
-    adj = g._adjacency()
+    adj = g._adj
     cycle_edges = sum(1 for w in outer if g.has_vertex(w) for z in adj[w] if z in outer) // 2
     if g.num_edges() - cycle_edges != g.n - 1:
         raise MalformedCertificateError("non-cycle edges do not form a spanning tree")

@@ -66,7 +66,7 @@ def test_equal_certificate_is_checked_in_full():
     # the very object certify built skips the check.
     inner = sorted(set(g.vertices()) - cert.outer)
     u, v = next((a, b) for a in inner for b in inner if a < b and not g.has_edge(a, b))
-    adj = g._adjacency()
+    adj = g._adj
     adj[u].add(v)
     adj[v].add(u)
     check_certificate(g, cert)
@@ -141,5 +141,5 @@ def test_neighbors_cannot_change_the_graph():
         g.neighbors(v).add(u)
     assert g.num_edges() == m and not g.has_edge(u, v)
     assert isinstance(g.neighbors(u), frozenset)
-    assert g.neighbors(u) == set(g._adjacency()[u])
+    assert g.neighbors(u) == set(g._adj[u])
     check_certificate(g, cert)

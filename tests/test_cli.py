@@ -9,9 +9,8 @@ import halin
 from halin.cli import main
 from halin.io import (
     GraphFormatError,
-    certificate_from_dict,
     dumps_graph,
-    graph_from_dict,
+    load_certificate,
     load_graph,
 )
 from halin.generators import make_wheel
@@ -259,7 +258,9 @@ def test_tampered_certificate_is_format_error(tmp_path, command, doc):
 
 # A Halin graph whose certificate has root 0, outer {2, 4, 5, 6, 7} and
 # cycle order 2, 4, 5, 6, 7, so that coercing ids with int() would read
-# each of these loose documents as the true certificate.
+# each of these loose documents as the true certificate. Each entry
+# replaces fields of that certificate; the files after it are malformed
+# as a whole.
 LOOSE_GRAPH = {
     "n": 8,
     "edges": [[0, 1], [0, 3], [0, 7], [1, 2], [1, 4], [3, 5], [3, 6],
@@ -272,10 +273,17 @@ LOOSE_CERTIFICATES = {
     "string-outer": {"outer": "24567"},
     "string-cycle-order": {"cycle_order": "24567"},
     "float-parent-key": {"parent": {"1.0": 0, "2": 1, "3": 0, "4": 1, "5": 3, "6": 3, "7": 0}},
+    "unknown-field": {"signature": "0"},
+    "repeated-outer-id": {"outer": [2, 4, 5, 6, 7, 2]},
+}
+MALFORMED_CERTIFICATE_FILES = {
+    "missing-field": '{"outer": [2, 4, 5, 6, 7], "cycle_order": [2, 4, 5, 6, 7], "root": 0}',
+    "not-an-object": "[2, 4, 5, 6, 7]",
+    "invalid-json": '{"outer": [2, 4, 5',
 }
 
 
-@pytest.mark.parametrize("name", sorted(LOOSE_CERTIFICATES))
+@pytest.mark.parametrize("name", sorted(LOOSE_CERTIFICATES) + sorted(MALFORMED_CERTIFICATE_FILES))
 def test_loose_certificate_ids_are_format_errors(tmp_path, name):
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps(LOOSE_GRAPH))
@@ -283,15 +291,17 @@ def test_loose_certificate_ids_are_format_errors(tmp_path, name):
     assert main(["recognize", "--in", str(graph), "--emit-certificate", str(cert)]) == 0
     good = json.loads(cert.read_text())
     assert (good["root"], good["outer"], good["cycle_order"]) == (0, [2, 4, 5, 6, 7], [2, 4, 5, 6, 7])
-    doc = dict(good, **LOOSE_CERTIFICATES[name])
-    with pytest.raises(GraphFormatError):
-        certificate_from_dict(doc)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(
+        MALFORMED_CERTIFICATE_FILES.get(name) or json.dumps(dict(good, **LOOSE_CERTIFICATES[name]))
+    )
+    with pytest.raises(GraphFormatError):
+        load_certificate(str(bad))
     _assert_cli_format_error("color", "--in", graph, "--certificate", bad)
 
 
-# One malformed graph document per rule of graph_from_dict's edge pass.
+# One malformed graph document per rule of graph_from_dict's edge pass,
+# then graph files malformed in another way.
 MALFORMED_EDGES = {
     "non-int-id": [[0, "1"], [1, 2]],
     "float-id": [[0, 1.0], [1, 2]],
@@ -302,13 +312,19 @@ MALFORMED_EDGES = {
     "duplicate-reversed": [[0, 1], [1, 2], [1, 0]],
     "duplicate-same": [[0, 1], [1, 2], [0, 1]],
 }
+MALFORMED_GRAPH_FILES = {
+    "outer-not-array": '{"n": 4, "edges": [[0, 1]], "outer": 3}',
+    "outer-not-ids": '{"n": 4, "edges": [[0, 1]], "outer": [0, "1", 2]}',
+    "invalid-json": '{"n": 4, "edges": [[0, 1]',
+}
 
 
-@pytest.mark.parametrize("name", sorted(MALFORMED_EDGES))
+@pytest.mark.parametrize("name", sorted(MALFORMED_EDGES) + sorted(MALFORMED_GRAPH_FILES))
 def test_malformed_edges_are_format_errors(tmp_path, name):
-    doc = {"n": 4, "edges": MALFORMED_EDGES[name]}
-    with pytest.raises(GraphFormatError):
-        graph_from_dict(doc)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(
+        MALFORMED_GRAPH_FILES.get(name) or json.dumps({"n": 4, "edges": MALFORMED_EDGES[name]})
+    )
+    with pytest.raises(GraphFormatError):
+        load_graph(str(path))
     _assert_cli_format_error("recognize", "--in", path)

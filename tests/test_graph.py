@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 
 import pytest
 
@@ -27,6 +28,8 @@ def test_out_of_range_rejected():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         Graph(2).degree(5)
+    with pytest.raises(ValueError):
+        Graph(2).has_edge(0, 5)
 
 
 @pytest.mark.parametrize(
@@ -39,6 +42,23 @@ def test_out_of_range_rejected():
 def test_from_edges_rejects_entries_that_are_not_id_pairs(entry):
     with pytest.raises(ValueError):
         Graph.from_edges(3, [entry])
+
+
+@pytest.mark.parametrize(
+    "v", [1.5, True, "1", None, IntEnum("Id", "ONE").ONE],
+    ids=["float", "bool", "str", "none", "int-enum"],
+)
+def test_accessors_take_only_int_ids(v):
+    # One rule for vertex ids, the one _add_edges applies to every edge.
+    g, _ = make_wheel(6)
+    assert not g.has_vertex(v)
+    for call in (g.degree, g.neighbors, lambda w: g.has_edge(w, 0), lambda w: g.has_edge(0, w)):
+        with pytest.raises(ValueError):
+            call(v)
+    with pytest.raises(ValueError):
+        Graph(v)
+    with pytest.raises(GraphFormatError):
+        graph_from_dict(dict(graph_to_dict(g), outer=[v]))
 
 
 def test_public_surface_is_read_only():
