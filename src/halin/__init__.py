@@ -5,82 +5,66 @@ through its leaves. This package generates them (wheels, necklaces,
 random general/cubic), recognizes them with an outer-cycle certificate,
 colors them optimally (3 colors, 4 for even wheels), and produces a
 perfect elimination ordering of a treewidth-3 chordal completion.
+
+Importing the package loads none of its modules: each public name, and
+each submodule (``halin.peo``, ...), loads its module on first use, so a
+command imports only the code it runs.
 """
 
-from .coloring import (
-    C1,
-    C2,
-    C3,
-    C4,
-    ColoringTrace,
-    FanRun,
-    color_halin,
-    is_even_wheel,
-)
-from .generators import (
-    GenSpec,
-    generate,
-    make_halin,
-    make_halin_cubic,
-    make_necklace,
-    make_wheel,
-)
-from .graph import Graph
-from .io import GraphFormatError, dumps_graph, load_graph, save_graph
-from .oracles import chromatic_number_bruteforce, is_chordal_bruteforce
-from .peo import (
-    PeoResult,
-    TraceStep,
-    chordal_completion,
-    peo_halin,
-    replay_trace,
-    treewidth_from_peo,
-    verify_peo,
-)
-from .recognition import (
-    HalinCertificate,
-    MalformedCertificateError,
-    RecognitionResult,
-    certificate_from_outer,
-    recognize,
-    verify_halin,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "C1",
-    "C2",
-    "C3",
-    "C4",
-    "ColoringTrace",
-    "FanRun",
-    "GenSpec",
-    "Graph",
-    "GraphFormatError",
-    "HalinCertificate",
-    "MalformedCertificateError",
-    "PeoResult",
-    "RecognitionResult",
-    "TraceStep",
-    "certificate_from_outer",
-    "chordal_completion",
-    "chromatic_number_bruteforce",
-    "color_halin",
-    "dumps_graph",
-    "generate",
-    "is_chordal_bruteforce",
-    "is_even_wheel",
-    "load_graph",
-    "make_halin",
-    "make_halin_cubic",
-    "make_necklace",
-    "make_wheel",
-    "peo_halin",
-    "recognize",
-    "replay_trace",
-    "save_graph",
-    "treewidth_from_peo",
-    "verify_halin",
-    "verify_peo",
-]
+# Each public name -> the submodule that defines it.
+_SOURCE = {
+    "C1": "coloring",
+    "C2": "coloring",
+    "C3": "coloring",
+    "C4": "coloring",
+    "ColoringTrace": "coloring",
+    "FanRun": "coloring",
+    "GenSpec": "generators",
+    "Graph": "graph",
+    "GraphFormatError": "io",
+    "HalinCertificate": "recognition",
+    "MalformedCertificateError": "recognition",
+    "PeoResult": "peo",
+    "RecognitionResult": "recognition",
+    "TraceStep": "peo",
+    "certificate_from_outer": "recognition",
+    "chordal_completion": "peo",
+    "chromatic_number_bruteforce": "oracles",
+    "color_halin": "coloring",
+    "dumps_graph": "io",
+    "generate": "generators",
+    "is_chordal_bruteforce": "oracles",
+    "is_even_wheel": "coloring",
+    "load_graph": "io",
+    "make_halin": "generators",
+    "make_halin_cubic": "generators",
+    "make_necklace": "generators",
+    "make_wheel": "generators",
+    "peo_halin": "peo",
+    "recognize": "recognition",
+    "replay_trace": "peo",
+    "save_graph": "io",
+    "treewidth_from_peo": "peo",
+    "verify_halin": "recognition",
+    "verify_peo": "peo",
+}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    if name in _SOURCE:
+        value = getattr(_import_module(f".{_SOURCE[name]}", __name__), name)
+        globals()[name] = value  # later lookups skip this function
+        return value
+    if name in _SOURCE.values():
+        return _import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

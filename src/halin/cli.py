@@ -5,6 +5,9 @@ default layout. Exit codes: 0 success, 1 negative decision (input is
 not Halin, a check failed), 2 usage or I/O error. A graph that is not
 Halin prints {"halin": false, "reason": ...}; verify adds its "mode"
 first and "ok": false last.
+
+Each command imports only the modules it runs: ``io``, ``graph`` and
+``recognition`` load with this module, and the handlers import the rest.
 """
 
 from __future__ import annotations
@@ -14,15 +17,7 @@ import json
 import sys
 
 from . import io as gio
-from .coloring import color_halin, is_even_wheel
-from .generators import GenSpec, generate
 from .graph import Graph
-from .oracles import (
-    MAX_ORACLE_VERTICES,
-    chromatic_number_bruteforce,
-    is_chordal_bruteforce,
-)
-from .peo import chordal_completion, peo_halin, treewidth_from_peo
 from .recognition import (
     HalinCertificate,
     certify,
@@ -110,6 +105,8 @@ def _certified(
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .generators import GenSpec, generate
+
     spec = GenSpec(n=args.n, variant=args.variant.replace("-", "_"), seed=args.seed)
     g, outer = generate(spec)
     if args.out:
@@ -134,6 +131,8 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def _cmd_color(args: argparse.Namespace) -> int:
+    from .coloring import color_halin
+
     g, cert = _certified(args)
     if cert is None:
         return 1
@@ -150,6 +149,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
 
 
 def _cmd_peo(args: argparse.Namespace) -> int:
+    from .peo import chordal_completion, peo_halin
+
     g, cert = _certified(args)
     if cert is None:
         return 1
@@ -166,6 +167,12 @@ def _cmd_peo(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .oracles import (
+        MAX_ORACLE_VERTICES,
+        chromatic_number_bruteforce,
+        is_chordal_bruteforce,
+    )
+
     if args.mode == "chordal":
         g, _outer = gio.load_graph(args.infile)
         ok = is_chordal_bruteforce(g)
@@ -176,6 +183,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if cert is None:
         return 1
     if args.mode == "coloring":
+        from .coloring import color_halin, is_even_wheel
+
         colors = color_halin(g, cert)
         used = len(set(colors.values()))
         expected = 4 if is_even_wheel(g, cert) else 3
@@ -194,6 +203,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         return 0 if ok else 1
     # mode == "peo"
+    from .peo import chordal_completion, peo_halin, treewidth_from_peo
+
     result = peo_halin(g, cert)
     completion = chordal_completion(g, result)
     try:

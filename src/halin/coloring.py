@@ -16,18 +16,17 @@ fails loudly instead of returning an improper coloring.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, cycle, groupby
 from operator import eq
+from typing import NamedTuple
 
 from .graph import Graph
-from .recognition import HalinCertificate, MalformedCertificateError, check_certificate
+from .recognition import HalinCertificate, MalformedCertificateError, _Record, check_certificate
 
 C1, C2, C3, C4 = 0, 1, 2, 3
 
 
-@dataclass(frozen=True)
-class FanRun:
+class FanRun(NamedTuple):
     """Maximal run of consecutive cycle vertices sharing one tree parent.
 
     ``run`` holds cycle positions (indices into cycle_order), in cycle
@@ -40,12 +39,12 @@ class FanRun:
     is_fan: bool
 
 
-@dataclass
-class ColoringTrace:
+class ColoringTrace(_Record):
     """Filled in by color_halin when passed; records which case fired."""
 
-    case: int | None = None
-    odd_run: FanRun | None = None
+    def __init__(self, case: int | None = None, odd_run: FanRun | None = None) -> None:
+        self.case = case
+        self.odd_run = odd_run
 
 
 def is_even_wheel(g: Graph, cert: HalinCertificate) -> bool:

@@ -11,16 +11,15 @@ output.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .graph import Graph
 
 VARIANTS = ("wheel", "necklace", "halin", "halin_cubic")
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(NamedTuple):
     """Generator parameters: target vertex count, variant, RNG seed."""
 
     n: int

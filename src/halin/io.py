@@ -4,8 +4,9 @@ Graph JSON is an object with fields "n" (vertex count), "edges"
 (array of [u, v] pairs) and an optional "outer" (array of outer-cycle
 vertex ids). Unknown fields, self-loops, duplicate edges (in either
 orientation) and ids outside 0..n-1 are rejected, as is a file that is
-not JSON. Serialization is canonical (sorted edges, fixed key order,
-``json.dumps``' default layout) so equal graphs produce identical bytes.
+not JSON or nests too deeply for the JSON parser. Serialization is
+canonical (sorted edges, fixed key order, ``json.dumps``' default
+layout) so equal graphs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ def _read_json(path: str) -> Any:
             return json.load(f)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise GraphFormatError("invalid JSON: arrays or objects nested too deeply") from None
 
 
 def dumps_graph(g: Graph, outer: set[int] | None = None) -> str:

@@ -14,12 +14,11 @@ decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
 from .graph import Graph, _add_edges
-from .recognition import HalinCertificate, MalformedCertificateError, check_certificate
+from .recognition import HalinCertificate, MalformedCertificateError, _Record, check_certificate
 
 
 class TraceStep(NamedTuple):
@@ -36,11 +35,13 @@ class TraceStep(NamedTuple):
     clique: tuple[int, int, int, int]
 
 
-@dataclass
-class PeoResult:
-    order: list[int]
-    fill_edges: set[tuple[int, int]]
-    trace: list[TraceStep]
+class PeoResult(_Record):
+    def __init__(
+        self, order: list[int], fill_edges: set[tuple[int, int]], trace: list[TraceStep]
+    ) -> None:
+        self.order = order
+        self.fill_edges = fill_edges
+        self.trace = trace
 
 
 def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress, filterfalse, islice, repeat
 from operator import and_
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graph import Graph
 
@@ -51,8 +50,22 @@ class _ReadOnlyDict(dict):
         return (_ReadOnlyDict, (dict(self),))
 
 
-@dataclass(frozen=True)
-class HalinCertificate:
+class _Record:
+    """Value equality, and a repr that lists the fields in the order
+    ``__init__`` sets them, for a class that keeps its fields in
+    ``__dict__``. Instances are unhashable."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__name__}({fields})"
+
+
+class HalinCertificate(_Record):
     """Outer cycle plus inner tree of a Halin decomposition.
 
     ``cycle_order`` lists the outer vertices in cyclic order; ``parent``
@@ -64,6 +77,9 @@ class HalinCertificate:
     smaller outer neighbour, ``root`` is the smallest inner vertex, and
     ``parent`` lists the vertices in the BFS order of the tree from the
     root.
+
+    A certificate is immutable: assigning or deleting a field raises
+    AttributeError. It equals only another certificate with equal fields.
     """
 
     outer: frozenset[int]
@@ -71,9 +87,17 @@ class HalinCertificate:
     parent: dict[int, int]
     root: int
 
+    def __init__(self, outer, cycle_order, parent, root) -> None:
+        self.__dict__.update(outer=outer, cycle_order=cycle_order, parent=parent, root=root)
 
-@dataclass(frozen=True)
-class RecognitionResult:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RecognitionResult(NamedTuple):
     certificate: HalinCertificate | None
     reason: str | None
 
@@ -106,9 +130,9 @@ def check_certificate(g: Graph, cert: HalinCertificate) -> HalinCertificate:
 
     Returns ``cert`` at once, without checking, when it is the very
     object ``certify`` last built for ``g``. Both are immutable (a graph
-    never changes once built; a certificate is a frozen dataclass whose
-    parent map refuses writes), so it still describes g. An equal
-    certificate built any other way is checked in full.
+    never changes once built; a certificate refuses assignment to its
+    fields, and its parent map refuses writes), so it still describes g.
+    An equal certificate built any other way is checked in full.
     """
     if g._certified is not None and g._certified() is cert:
         return cert

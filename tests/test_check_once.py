@@ -4,6 +4,7 @@ certificate brings the full check back."""
 
 import copy
 import pickle
+import weakref
 
 import pytest
 
@@ -117,6 +118,14 @@ def test_certificate_pickles_and_copies_equal():
         with pytest.raises(TypeError):
             clone.parent[next(iter(clone.parent))] = 0
         color_halin(g, clone)  # checked in full, and valid
+        with pytest.raises(AttributeError):
+            clone.root = cert.root
+        with pytest.raises(AttributeError):
+            del clone.parent
+        assert clone != (clone.outer, clone.cycle_order, clone.parent, clone.root)
+        assert weakref.ref(clone)() is clone
+        with pytest.raises(TypeError):
+            hash(clone)
 
 
 def test_certified_graph_pickles_without_its_record():

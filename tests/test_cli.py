@@ -280,6 +280,8 @@ MALFORMED_CERTIFICATE_FILES = {
     "missing-field": '{"outer": [2, 4, 5, 6, 7], "cycle_order": [2, 4, 5, 6, 7], "root": 0}',
     "not-an-object": "[2, 4, 5, 6, 7]",
     "invalid-json": '{"outer": [2, 4, 5',
+    "deeply-nested": '{"outer": [2, 4, 5, 6, 7], "cycle_order": [2, 4, 5, 6, 7], "root": 0, '
+    + '"parent": ' + '{"1": ' * 100_000 + "0" + "}" * 100_000 + "}",
 }
 
 
@@ -316,6 +318,7 @@ MALFORMED_GRAPH_FILES = {
     "outer-not-array": '{"n": 4, "edges": [[0, 1]], "outer": 3}',
     "outer-not-ids": '{"n": 4, "edges": [[0, 1]], "outer": [0, "1", 2]}',
     "invalid-json": '{"n": 4, "edges": [[0, 1]',
+    "deeply-nested": '{"n": 4, "edges": ' + "[" * 200_000 + "]" * 200_000 + "}",
 }
 
 
