@@ -74,13 +74,14 @@ def color_halin(
     cyc = cert.cycle_order
     length = len(cyc)
 
-    # Every cycle vertex is a key already, so update keeps the key order.
     if length % 2 == 0:
         case = 1
-        colors.update(dict.fromkeys(cyc[1::2], C3))
+        for v in cyc[1::2]:
+            colors[v] = C3
     elif is_even_wheel(g, cert):
         case = 2
-        colors.update(zip(cyc, cycle((C2, C3))))
+        for v, c in zip(cyc, cycle((C2, C3))):
+            colors[v] = c
         colors[cyc[length - 1]] = C4
     elif len(set(map(colors.__getitem__, cyc))) == 2:  # both tree colors on the cycle
         case = 3
@@ -95,23 +96,27 @@ def color_halin(
     if trace is not None:
         trace.case = case
     _check_proper(cert, colors)
-    return colors
+    # Keyed by the certificate's own id objects, root first, as the
+    # graph's adjacency sets hold them.
+    return {v: colors[v] for v in (cert.root, *cert.parent)}
 
 
-def _color_tree(cert: HalinCertificate) -> dict[int, int]:
+def _color_tree(cert: HalinCertificate) -> list[int]:
     """2-color every vertex by tree depth parity; the root gets C1.
 
-    Proper on tree edges; conflicts may remain on cycle edges. The
-    certificate ``check_certificate`` returns lists every parent before
-    its children.
+    Returns the colors as a list indexed by vertex id: the certificate
+    covers the ids 0..n-1, and a list holds them in far less memory than
+    a dict, which keeps the walks over large graphs in cache. Proper on
+    tree edges; conflicts may remain on cycle edges. The certificate
+    ``check_certificate`` returns lists every parent before its children.
     """
-    colors = {cert.root: C1}
+    colors = [C1] * (len(cert.parent) + 1)
     for v, p in cert.parent.items():
         colors[v] = C1 + C2 - colors[p]  # the other tree color
     return colors
 
 
-def _recolor_two_tone_odd_cycle(colors: dict[int, int], cyc: tuple[int, ...]) -> None:
+def _recolor_two_tone_odd_cycle(colors: list[int], cyc: tuple[int, ...]) -> None:
     length = len(cyc)
     anchor = next(
         i
@@ -120,7 +125,8 @@ def _recolor_two_tone_odd_cycle(colors: dict[int, int], cyc: tuple[int, ...]) ->
     )
     seq = cyc[anchor:] + cyc[:anchor]
     # Keep seq[0], seq[1] (the C1,C2 pair); then C3 every second vertex.
-    colors.update(dict.fromkeys(seq[2::2], C3))
+    for v in seq[2::2]:
+        colors[v] = C3
 
 
 def _odd_run(g: Graph, cert: HalinCertificate) -> FanRun:
@@ -152,7 +158,7 @@ def _odd_run(g: Graph, cert: HalinCertificate) -> FanRun:
 
 
 def _recolor_monochrome_odd_cycle(
-    colors: dict[int, int], cert: HalinCertificate, run: FanRun
+    colors: list[int], cert: HalinCertificate, run: FanRun
 ) -> None:
     cyc = cert.cycle_order
     length = len(cyc)
@@ -172,8 +178,10 @@ def _recolor_monochrome_odd_cycle(
         colors[w] = C3 if colors[cert.parent[w]] == other else other
 
 
-def _check_proper(cert: HalinCertificate, colors: dict[int, int]) -> None:
+def _check_proper(cert: HalinCertificate, colors) -> None:
     """Raise MalformedCertificateError naming a monochromatic edge, if any.
+
+    ``colors`` maps each vertex id to its color: a list or a dict.
 
     Tests the n - 1 tree edges and the cycle edges of ``cert``, which
     ``certify``, which built it, proved to be exactly the edges of the

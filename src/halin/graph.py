@@ -21,8 +21,14 @@ def _add_edges(adj: list[set[int]], pairs: Iterable) -> None:
     Raises ValueError on the first entry that is not a pair of two
     distinct int ids in 0..len(adj)-1; a float, a str, None or a bool is
     no id. A repeated edge counts once.
+
+    The sets hold one int object per id, made here in id order, not the
+    objects of ``pairs``: those are often many per id (a JSON parser
+    makes one per occurrence) and scattered over the heap, and every walk
+    over a large graph would then miss the cache on each of them.
     """
     n = len(adj)
+    ids = list(range(n))
     for e in pairs:
         try:
             u, v = e
@@ -30,8 +36,8 @@ def _add_edges(adj: list[set[int]], pairs: Iterable) -> None:
             raise ValueError(f"edge entry {e!r} is not a pair") from None
         if type(u) is not int or type(v) is not int or u == v or not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge {e!r} does not join two distinct vertices of 0..{n - 1}")
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u].add(ids[v])
+        adj[v].add(ids[u])
 
 
 class Graph:

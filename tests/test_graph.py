@@ -18,6 +18,14 @@ def test_parallel_edges_collapse():
     assert g.num_edges() == 1
 
 
+def test_adjacency_holds_one_object_per_id():
+    # Every id past the small-int cache comes as two distinct objects,
+    # as a JSON parser would give them; the sets keep one per id.
+    n = 1000
+    g = Graph.from_edges(n, [(int(str(v)), int(str((v + 1) % n))) for v in range(n)])
+    assert len({id(w) for nbrs in g._adj for w in nbrs}) == n
+
+
 def test_self_loop_rejected():
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 0)])
