@@ -46,7 +46,6 @@ _SOURCE = {
     "make_wheel": "generators",
     "peo_halin": "peo",
     "recognize": "recognition",
-    "replay_trace": "peo",
     "save_graph": "io",
     "treewidth_from_peo": "peo",
     "verify_halin": "recognition",

@@ -208,7 +208,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     result = peo_halin(g, cert)
     completion = chordal_completion(g, result)
     try:
-        width = treewidth_from_peo(completion, result.order)  # runs verify_peo
+        width = treewidth_from_peo(completion, result.order)  # checks the PEO too
     except ValueError:
         width = None
     valid = width is not None

@@ -15,10 +15,9 @@ fails loudly instead of returning an improper coloring.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import chain, cycle, groupby
 from operator import eq
-from typing import NamedTuple
 
 from .graph import Graph
 from .recognition import HalinCertificate, MalformedCertificateError, _Record, check_certificate
@@ -26,7 +25,7 @@ from .recognition import HalinCertificate, MalformedCertificateError, _Record, c
 C1, C2, C3, C4 = 0, 1, 2, 3
 
 
-class FanRun(NamedTuple):
+class FanRun(namedtuple("FanRun", "center run is_fan")):
     """Maximal run of consecutive cycle vertices sharing one tree parent.
 
     ``run`` holds cycle positions (indices into cycle_order), in cycle
@@ -34,9 +33,7 @@ class FanRun(NamedTuple):
     tree neighbor (a fan in the strict sense, not just a pseudo-fan).
     """
 
-    center: int
-    run: tuple[int, ...]
-    is_fan: bool
+    __slots__ = ()
 
 
 class ColoringTrace(_Record):

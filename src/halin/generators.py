@@ -11,20 +11,18 @@ output.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from itertools import chain
-from typing import NamedTuple
 
 from .graph import Graph
 
 VARIANTS = ("wheel", "necklace", "halin", "halin_cubic")
 
 
-class GenSpec(NamedTuple):
+class GenSpec(namedtuple("GenSpec", "n variant seed", defaults=("halin", 0))):
     """Generator parameters: target vertex count, variant, RNG seed."""
 
-    n: int
-    variant: str = "halin"
-    seed: int = 0
+    __slots__ = ()
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:

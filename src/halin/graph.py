@@ -12,7 +12,14 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
+
+
+def _brief(x: object) -> str:
+    """repr(x) for an error message, cut to 80 characters at most, so
+    that a message never repeats a large input in full."""
+    r = repr(x)
+    return r if len(r) <= 80 else r[:77] + "..."
 
 
 def _add_edges(adj: list[set[int]], pairs: Iterable) -> None:
@@ -33,9 +40,9 @@ def _add_edges(adj: list[set[int]], pairs: Iterable) -> None:
         try:
             u, v = e
         except (TypeError, ValueError):
-            raise ValueError(f"edge entry {e!r} is not a pair") from None
+            raise ValueError(f"edge entry {_brief(e)} is not a pair") from None
         if type(u) is not int or type(v) is not int or u == v or not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge {e!r} does not join two distinct vertices of 0..{n - 1}")
+            raise ValueError(f"edge {_brief(e)} does not join two distinct vertices of 0..{n - 1}")
         adj[u].add(ids[v])
         adj[v].add(ids[u])
 

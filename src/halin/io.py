@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 import re
-from typing import AbstractSet, Any
+from collections.abc import Set
 
-from .graph import Graph
+from .graph import Graph, _brief
 from .recognition import HalinCertificate
 
 _GRAPH_FIELDS = {"n", "edges", "outer"}
@@ -27,12 +27,12 @@ class GraphFormatError(ValueError):
     """Raised when a graph or certificate document is malformed."""
 
 
-def _is_id(x: Any) -> bool:
+def _is_id(x: object) -> bool:
     return type(x) is int  # the rule of Graph: a bool is no id
 
 
-def graph_to_dict(g: Graph, outer: set[int] | None = None) -> dict[str, Any]:
-    obj: dict[str, Any] = {
+def graph_to_dict(g: Graph, outer: set[int] | None = None) -> dict[str, object]:
+    obj: dict[str, object] = {
         "n": g.n,
         "edges": [[u, v] for u, v in sorted(g.edges())],
     }
@@ -41,12 +41,12 @@ def graph_to_dict(g: Graph, outer: set[int] | None = None) -> dict[str, Any]:
     return obj
 
 
-def graph_from_dict(obj: Any) -> tuple[Graph, set[int] | None]:
+def graph_from_dict(obj: object) -> tuple[Graph, set[int] | None]:
     if not isinstance(obj, dict):
         raise GraphFormatError("graph document must be a JSON object")
     unknown = set(obj) - _GRAPH_FIELDS
     if unknown:
-        raise GraphFormatError(f"unknown fields: {sorted(unknown)}")
+        raise GraphFormatError(f"unknown fields: {_brief(sorted(unknown))}")
     if "n" not in obj or "edges" not in obj:
         raise GraphFormatError('fields "n" and "edges" are required')
     n = obj["n"]
@@ -74,11 +74,11 @@ def graph_from_dict(obj: Any) -> tuple[Graph, set[int] | None]:
             raise GraphFormatError('"outer" contains duplicate ids')
         for v in outer:
             if not g.has_vertex(v):
-                raise GraphFormatError(f"outer vertex {v} is out of range")
+                raise GraphFormatError(f"outer vertex {_brief(v)} is out of range")
     return g, outer
 
 
-def _read_json(path: str) -> Any:
+def _read_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(f)
@@ -101,7 +101,7 @@ def load_graph(path: str) -> tuple[Graph, set[int] | None]:
     return graph_from_dict(_read_json(path))
 
 
-def certificate_to_dict(cert: HalinCertificate) -> dict[str, Any]:
+def certificate_to_dict(cert: HalinCertificate) -> dict[str, object]:
     return {
         "outer": sorted(cert.outer),
         "cycle_order": list(cert.cycle_order),
@@ -110,7 +110,7 @@ def certificate_to_dict(cert: HalinCertificate) -> dict[str, Any]:
     }
 
 
-def certificate_from_dict(obj: Any) -> HalinCertificate:
+def certificate_from_dict(obj: object) -> HalinCertificate:
     """Parse a certificate document; ids must be JSON integers.
 
     Only the keys of "parent" are strings, as JSON requires, and each must
@@ -122,7 +122,7 @@ def certificate_from_dict(obj: Any) -> HalinCertificate:
         raise GraphFormatError("certificate document must be a JSON object")
     unknown = set(obj) - _CERT_FIELDS
     if unknown:
-        raise GraphFormatError(f"unknown fields: {sorted(unknown)}")
+        raise GraphFormatError(f"unknown fields: {_brief(sorted(unknown))}")
     missing = _CERT_FIELDS - set(obj)
     if missing:
         raise GraphFormatError(f"bad certificate: missing fields {sorted(missing)}")
@@ -140,7 +140,7 @@ def certificate_from_dict(obj: Any) -> HalinCertificate:
     parent = {}
     for key, p in raw_parent.items():
         if not isinstance(key, str) or not _ID_KEY.fullmatch(key):
-            raise GraphFormatError(f"bad certificate: parent key {key!r} is not a vertex id")
+            raise GraphFormatError(f"bad certificate: parent key {_brief(key)} is not a vertex id")
         parent[int(key)] = p
     return HalinCertificate(outer, tuple(obj["cycle_order"]), parent, obj["root"])
 
@@ -158,7 +158,7 @@ def save_certificate(path: str, cert: HalinCertificate) -> None:
 _PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3")
 
 
-def write_dot(path: str, g: Graph, colors: dict[int, int], outer: AbstractSet[int]) -> None:
+def write_dot(path: str, g: Graph, colors: dict[int, int], outer: Set[int]) -> None:
     """Write a DOT rendering: each vertex filled with its color (``colors``
     maps every vertex), cycle edges (both ends in ``outer``) drawn bold,
     tree edges thin."""

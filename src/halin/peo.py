@@ -14,14 +14,14 @@ decomposition.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations
-from typing import NamedTuple
 
 from .graph import Graph, _add_edges
 from .recognition import HalinCertificate, MalformedCertificateError, _Record, check_certificate
 
 
-class TraceStep(NamedTuple):
+class TraceStep(namedtuple("TraceStep", "rule eliminated clique")):
     """One reduction: rule tag, eliminated vertex, and its 4-clique.
 
     A step is a tuple with named fields, so it is cheap to build and
@@ -30,9 +30,7 @@ class TraceStep(NamedTuple):
     eliminated and pt, rt filled.
     """
 
-    rule: str
-    eliminated: int
-    clique: tuple[int, int, int, int]
+    __slots__ = ()
 
 
 class PeoResult(_Record):
@@ -54,8 +52,6 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
     ``cert`` is the certificate ``certify`` derives from its outer set on
     g, whose cycle and tree edges are exactly the edges of g, so the
     reduction runs on the certificate alone and never copies the graph.
-    The loop records only the trace; order and fills are read off it by
-    the pass that ``replay_trace`` uses.
     """
     cert = check_certificate(g, cert)
     cyc = cert.cycle_order
@@ -88,6 +84,10 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
         inner_xor[v] ^= p
         inner_xor[p] ^= v
 
+    # No fill joins two vertices adjacent in g: R1 joins cycle vertices
+    # never consecutive, R2 a cycle vertex and a vertex never its parent.
+    order: list[int] = []
+    fills: set[tuple[int, int]] = set()
     trace: list[TraceStep] = []
     new_tuple = tuple.__new__  # builds a TraceStep without its Python-level __new__
     live = n
@@ -101,6 +101,8 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
         if par[q] == s and par[r] == s and clen > 3:
             # R1 on the triple (cur, q, r): eliminate q, fill cur-r.
             trace.append(new_tuple(TraceStep, ("R1", q, (cur, q, r, s))))
+            order.append(q)
+            fills.add((cur, r) if cur < r else (r, cur))
             nxt[cur] = r  # q is off the cycle now, never read again
             child_count[s] -= 1
             clen -= 1
@@ -111,6 +113,9 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
             inner_deg[t] -= 1
             inner_xor[t] ^= s
             trace.append(new_tuple(TraceStep, ("R2", s, (cur, q, s, t))))
+            order.append(s)
+            fills.add((cur, t) if cur < t else (t, cur))
+            fills.add((q, t) if q < t else (t, q))
             par[cur] = t
             par[q] = t
             child_count[t] += 2
@@ -125,12 +130,14 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
         live -= 1
         idle = 0
 
-    order, fills = _replay(trace)
-    tail = _residue(g, order)
+    # R1 needs a cycle of four and R2 hands its fan to a live t, so the
+    # live vertices are three on the cycle from the cursor and their parent.
+    # A vertex listed twice makes a pair (a, a) that no edge or fill joins.
+    tail = sorted((cur, nxt[cur], nxt[nxt[cur]], par[cur]))
     for a, b in combinations(tail, 2):
-        if not g.has_edge(a, b) and (a, b) not in fills:
+        if b not in g._adj[a] and (a, b) not in fills:
             raise MalformedCertificateError("residue is not a K4")
-    order.extend(tail)
+    order += tail
     return PeoResult(order, fills, trace)
 
 
@@ -149,69 +156,36 @@ def chordal_completion(g: Graph, result: PeoResult) -> Graph:
 
 def verify_peo(filled: Graph, order: list[int]) -> bool:
     """True iff every vertex's later neighbors are pairwise adjacent."""
-    vs = set(filled.vertices())
-    if len(order) != len(vs) or set(order) != vs:
-        raise ValueError("order is not a permutation of the vertex set")
-    adj = filled._adj
-    done: set[int] = set()
-    for v in order:
-        done.add(v)
-        later = adj[v] - done
-        # Pop the later neighbors one by one; each must see all the rest.
-        while later:
-            a = later.pop()
-            if not later <= adj[a]:
-                return False
-    return True
+    return _peo_width(filled, order) is not None
 
 
 def treewidth_from_peo(filled: Graph, order: list[int]) -> int:
     """Max count of later neighbors over the order; 3 for Halin completions."""
-    if not verify_peo(filled, order):
+    width = _peo_width(filled, order)
+    if width is None:
         raise ValueError("order is not a perfect elimination ordering")
+    return width
+
+
+def _peo_width(filled: Graph, order: list[int]) -> int | None:
+    """The largest count of later neighbors of a vertex over ``order``,
+    or None when some vertex's later neighbors are not pairwise adjacent
+    (the test of Rose, Tarjan and Lueker, 1976). Raises ValueError unless
+    ``order`` lists each vertex id once, each an int (a bool is no id)."""
+    n = filled.n
+    if len(order) != n or {*map(type, order)} - {int} or set(order) != set(range(n)):
+        raise ValueError("order is not a permutation of the vertex set")
     adj = filled._adj
     done: set[int] = set()
     width = 0
     for v in order:
         done.add(v)
-        width = max(width, len(adj[v] - done))
+        later = adj[v] - done
+        if len(later) > width:
+            width = len(later)
+        # Pop the later neighbors one by one; each must see all the rest.
+        while later:
+            a = later.pop()
+            if not later <= adj[a]:
+                return None
     return width
-
-
-def replay_trace(g: Graph, trace: list[TraceStep]) -> tuple[list[int], set[tuple[int, int]]]:
-    """Re-run a reduction trace of peo_halin on g; returns (order, fills).
-
-    Replaying the trace of peo_halin(g, cert) reproduces its order and
-    fill_edges exactly; both read them off the trace with ``_replay``.
-    """
-    order, fills = _replay(trace)
-    order.extend(_residue(g, order))
-    return order, fills
-
-
-def _replay(trace: list[TraceStep]) -> tuple[list[int], set[tuple[int, int]]]:
-    """The eliminated vertices of a trace in order, and its fill edges.
-
-    On a certificate that passed check_certificate a fill never joins two
-    vertices already adjacent in g, so no edge test is needed: R1 joins
-    cycle vertices that were never consecutive, R2 joins a cycle vertex
-    to a vertex that was never its tree parent.
-    """
-    order: list[int] = []
-    fills: set[tuple[int, int]] = set()
-    for rule, eliminated, (a, b, c, d) in trace:
-        if rule == "R1":  # (p, q, r, s): fill pr
-            fills.add((a, c) if a < c else (c, a))
-        elif rule == "R2":  # (p, r, s, t): fill pt, rt
-            fills.add((a, d) if a < d else (d, a))
-            fills.add((b, d) if b < d else (d, b))
-        else:
-            raise ValueError(f"unknown rule tag {rule!r}")
-        order.append(eliminated)
-    return order, fills
-
-
-def _residue(g: Graph, eliminated: list[int]) -> list[int]:
-    """The vertices of g not yet eliminated, in ascending id order."""
-    gone = set(eliminated)
-    return [v for v in g.vertices() if v not in gone]

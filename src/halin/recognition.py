@@ -19,10 +19,10 @@ the certificate's outer set plus an equality test.
 from __future__ import annotations
 
 import weakref
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 from itertools import compress, filterfalse, islice, repeat
 from operator import and_
-from typing import Iterator, NamedTuple
 
 from .graph import Graph
 
@@ -97,9 +97,10 @@ class HalinCertificate(_Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class RecognitionResult(NamedTuple):
-    certificate: HalinCertificate | None
-    reason: str | None
+class RecognitionResult(namedtuple("RecognitionResult", "certificate reason")):
+    """The certificate of a Halin graph, or None and the reason it is not."""
+
+    __slots__ = ()
 
     @property
     def is_halin(self) -> bool:

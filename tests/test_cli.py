@@ -165,14 +165,13 @@ def test_verify_peo_mode_checks_the_order_once(tmp_path, capsys, monkeypatch):
     import halin.peo
 
     calls = []
-    verify_peo = halin.peo.verify_peo
+    walk = halin.peo._peo_width
 
     def counted(filled, order):
         calls.append(len(order))
-        return verify_peo(filled, order)
+        return walk(filled, order)
 
-    monkeypatch.setattr(halin.peo, "verify_peo", counted)
-    monkeypatch.setattr(halin.cli, "verify_peo", counted, raising=False)
+    monkeypatch.setattr(halin.peo, "_peo_width", counted)
     graph = tmp_path / "g.json"
     main(["generate", "--variant", "halin", "--n", "30", "--seed", "2", "--out", str(graph)])
     capsys.readouterr()
@@ -242,6 +241,7 @@ def _assert_cli_format_error(*args):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+    return proc
 
 
 @pytest.mark.parametrize(
@@ -331,3 +331,28 @@ def test_malformed_edges_are_format_errors(tmp_path, name):
     with pytest.raises(GraphFormatError):
         load_graph(str(path))
     _assert_cli_format_error("recognize", "--in", path)
+
+
+# Files whose error message names a large part of the input: an edge entry
+# of a million characters, 100,000 unknown fields, a parent key of a
+# million characters. The message must cut what it repeats.
+LARGE_ECHO_FILES = {
+    "long-edge-entry": lambda: {"n": 3, "edges": [[0, "x" * 10**6]]},
+    "many-unknown-fields": lambda: {"n": 3, "edges": [], **dict.fromkeys(map(str, range(10**5)), 0)},
+    "long-parent-key": lambda: {
+        "outer": [0], "cycle_order": [0], "root": 0, "parent": {"x" * 10**6: 0},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_ECHO_FILES))
+def test_errors_cut_the_input_they_repeat(tmp_path, name):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(LARGE_ECHO_FILES[name]()))
+    if name == "long-parent-key":
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(LOOSE_GRAPH))
+        proc = _assert_cli_format_error("color", "--in", graph, "--certificate", bad)
+    else:
+        proc = _assert_cli_format_error("recognize", "--in", bad)
+    assert len(proc.stderr.encode()) < 1024

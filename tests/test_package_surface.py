@@ -28,9 +28,11 @@ SRC = os.path.dirname(os.path.dirname(halin.__file__))
 
 def _child(code, *args, cwd):
     """Run ``code`` in a fresh interpreter that imports halin from SRC and
-    give back the JSON document it prints last."""
+    give back the JSON document it prints last. The interpreter runs with
+    ``-S``, as some hosts' ``site`` preloads modules (``typing`` among
+    them) that a stock Python loads only on request."""
     proc = subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
+        [sys.executable, "-S", "-c", code, *map(str, args)],
         capture_output=True, text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert proc.returncode == 0, proc.stderr
@@ -48,7 +50,8 @@ import contextlib, io, json
 with contextlib.redirect_stdout(io.StringIO()):
     code = halin.cli.main(sys.argv[1:])
 ran = {m for m in set(sys.modules) - before - loaded if m.startswith("halin")}
-print(json.dumps({"loaded": sorted(loaded), "ran": sorted(ran), "code": code}))
+print(json.dumps({"loaded": sorted(loaded), "ran": sorted(ran), "code": code,
+                  "typing": "typing" in sys.modules}))
 """
 
 COMMANDS = {
@@ -68,6 +71,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path, command):
     assert seen["code"] == (1 if command == "verify-chordal" else 0)
     assert "dataclasses" not in seen["loaded"]
     assert "inspect" not in seen["loaded"]
+    assert not seen["typing"]
     assert {m for m in seen["loaded"] if m.startswith("halin")} == {
         "halin", "halin.cli", "halin.graph", "halin.io", "halin.recognition",
     }
@@ -81,7 +85,7 @@ ALL = [
     "chromatic_number_bruteforce", "color_halin", "dumps_graph", "generate",
     "is_chordal_bruteforce", "is_even_wheel", "load_graph", "make_halin",
     "make_halin_cubic", "make_necklace", "make_wheel", "peo_halin", "recognize",
-    "replay_trace", "save_graph", "treewidth_from_peo", "verify_halin", "verify_peo",
+    "save_graph", "treewidth_from_peo", "verify_halin", "verify_peo",
 ]
 
 SURFACE_CHILD = """

@@ -14,9 +14,9 @@ from halin import (
     generate,
     is_chordal_bruteforce,
     make_halin,
+    make_necklace,
     make_wheel,
     peo_halin,
-    replay_trace,
     treewidth_from_peo,
     verify_peo,
 )
@@ -78,6 +78,17 @@ def test_verify_peo_rejects_non_permutation():
         verify_peo(g, [0, 1, 2, 2])
 
 
+@pytest.mark.parametrize("loose", [True, 1.0, "1", None], ids=["bool", "float", "str", "none"])
+@pytest.mark.parametrize("check", [verify_peo, treewidth_from_peo])
+def test_order_ids_follow_the_graph_id_rule(check, loose):
+    g, outer = make_wheel(6)
+    result = _run(g, outer)
+    comp = chordal_completion(g, result)
+    order = [loose if v == 1 else v for v in result.order]
+    with pytest.raises(ValueError, match="^order is not a permutation of the vertex set$"):
+        check(comp, order)
+
+
 def test_treewidth_requires_valid_peo():
     c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(ValueError):
@@ -111,9 +122,35 @@ def test_random_graphs_full_pipeline(seed):
 def test_trace_replay_reproduces_result(seed):
     g, outer = make_halin(GenSpec(10 + 13 * seed, seed=seed))
     result = _run(g, outer)
-    order, fills = replay_trace(g, result.trace)
-    assert order == result.order
+    eliminated = []
+    fills = set()
+    for rule, v, (a, b, c, d) in result.trace:
+        eliminated.append(v)
+        # R1's clique (p, q, r, s) fills pr; R2's (p, r, s, t) fills pt, rt.
+        pairs = [(a, c)] if rule == "R1" else [(a, d), (b, d)]
+        fills.update(tuple(sorted(e)) for e in pairs)
+    assert eliminated == result.order[:-4]
     assert fills == result.fill_edges
+
+
+def _residue_cases():
+    yield "wheel-4", make_wheel(4)
+    yield "necklace-2", make_necklace(2)
+    yield "wheel-9", make_wheel(9)
+    yield "necklace-5", make_necklace(5)
+    for variant in ("halin", "halin_cubic"):
+        for seed in range(3):
+            yield f"{variant}-40-{seed}", generate(GenSpec(40, variant, seed=seed))
+
+
+@pytest.mark.parametrize("case", list(_residue_cases()), ids=lambda case: case[0])
+def test_residue_is_the_uneliminated_vertices_ascending(case):
+    _, (g, outer) = case
+    result = _run(g, outer)
+    gone = {step.eliminated for step in result.trace}
+    tail = result.order[-4:]
+    assert tail == sorted(tail)
+    assert set(tail) == set(g.vertices()) - gone
 
 
 @pytest.mark.parametrize("n", range(4, 13))
