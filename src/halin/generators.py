@@ -24,16 +24,6 @@ class GenSpec(namedtuple("GenSpec", "n variant seed", defaults=("halin", 0))):
 
     __slots__ = ()
 
-    def validate(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.n < 4:
-            raise ValueError("Halin graphs need at least 4 vertices")
-        if self.variant in ("halin_cubic", "necklace") and self.n % 2 != 0:
-            raise ValueError(f"{self.variant} requires an even vertex count")
-        if self.variant == "necklace" and self.n < 6:
-            raise ValueError("necklace requires at least 6 vertices (spine length 2)")
-
 
 def make_wheel(n: int) -> tuple[Graph, set[int]]:
     """Wheel on n vertices: hub n-1 joined to the rim cycle 0..n-2."""
@@ -53,7 +43,7 @@ def make_necklace(k: int) -> tuple[Graph, set[int]]:
     in id order.
     """
     if k < 2:
-        raise ValueError("necklace needs spine length at least 2")
+        raise ValueError("necklace needs spine length at least 2, so at least 6 vertices")
     outer = list(range(k, 2 * k + 2))
     edges = [(i, i + 1) for i in range(k - 1)]
     edges += [(0, k), (0, 2 * k + 1)]  # the first leaf, before the spine; the last, after
@@ -65,34 +55,28 @@ def make_necklace(k: int) -> tuple[Graph, set[int]]:
 
 def make_halin(spec: GenSpec) -> tuple[Graph, set[int]]:
     """Random Halin graph with exactly spec.n vertices."""
-    if spec.n < 4:
-        raise ValueError("Halin graphs need at least 4 vertices")
-    rng = random.Random(spec.seed)
-    children = _grow_tree(spec.n, rng, cubic=False)
-    return _close_cycle(children)
+    return _close_cycle(_grow_tree(spec.n, random.Random(spec.seed), cubic=False))
 
 
 def make_halin_cubic(spec: GenSpec) -> tuple[Graph, set[int]]:
     """Random cubic Halin graph; spec.n must be even."""
-    if spec.n < 4:
-        raise ValueError("Halin graphs need at least 4 vertices")
-    if spec.n % 2 != 0:
-        raise ValueError("cubic Halin graphs need an even vertex count")
-    rng = random.Random(spec.seed)
-    children = _grow_tree(spec.n, rng, cubic=True)
-    return _close_cycle(children)
+    return _close_cycle(_grow_tree(spec.n, random.Random(spec.seed), cubic=True))
 
 
 def generate(spec: GenSpec) -> tuple[Graph, set[int]]:
-    """Dispatch on spec.variant; wheel and necklace ignore the seed."""
-    spec.validate()
+    """Dispatch on spec.variant; wheel and necklace ignore the seed. Each
+    generator checks its own sizes; here only the variant and an odd necklace n."""
     if spec.variant == "wheel":
         return make_wheel(spec.n)
     if spec.variant == "necklace":
+        if spec.n % 2 != 0:
+            raise ValueError("necklace requires an even vertex count")
         return make_necklace((spec.n - 2) // 2)
     if spec.variant == "halin":
         return make_halin(spec)
-    return make_halin_cubic(spec)
+    if spec.variant == "halin_cubic":
+        return make_halin_cubic(spec)
+    raise ValueError(f"unknown variant {spec.variant!r}")
 
 
 def _grow_tree(n: int, rng: random.Random, cubic: bool) -> list[list[int]]:
@@ -101,8 +85,12 @@ def _grow_tree(n: int, rng: random.Random, cubic: bool) -> list[list[int]]:
     Returns per-vertex ordered child lists. The root starts with 3
     children (4 for n=5 so the budget lands exactly); each split turns a
     leaf into an internal node with 2 children (cubic) or 2-3 children
-    (general), never leaving a remainder of 1.
+    (general), never leaving a remainder of 1. Checks n for both callers.
     """
+    if n < 4:
+        raise ValueError("Halin graphs need at least 4 vertices")
+    if cubic and n % 2 != 0:
+        raise ValueError("cubic Halin graphs need an even vertex count")
     root_kids = 4 if (not cubic and n == 5) else 3
     children: list[list[int]] = [[]]
 

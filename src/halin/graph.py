@@ -2,17 +2,18 @@
 
 Vertices are always the ids 0..n-1, with adjacency stored as per-vertex
 sets. A vertex id is an int (``type(v) is int``, so a bool is no id) in
-0..n-1: ``has_vertex`` says False to anything else, and ``degree``,
-``neighbors`` and ``has_edge`` raise ValueError. A graph is built once, by ``Graph(n)`` or
-``Graph.from_edges``, and never changes. Every edge of every graph passes
-one check, ``_add_edges``.
+0..n-1, a rule that lives here: ``has_vertex`` tests one id, ``_ids``
+many. The accessors ``degree``, ``neighbors`` and ``has_edge`` raise
+ValueError on a non-id. A graph is built once, by ``Graph(n)`` or
+``Graph.from_edges``, and never changes. Every edge of every graph
+passes one check, ``_add_edges``.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 
 
 def _brief(x: object) -> str:
@@ -20,6 +21,11 @@ def _brief(x: object) -> str:
     that a message never repeats a large input in full."""
     r = repr(x)
     return r if len(r) <= 80 else r[:77] + "..."
+
+
+def _ids(xs: Collection, n: int) -> bool:
+    """True iff ``has_vertex`` holds for each element of ``xs`` on n vertices."""
+    return {*map(type, xs)} <= {int} and (not xs or (min(xs) >= 0 and max(xs) < n))
 
 
 def _add_edges(adj: list[set[int]], pairs: Iterable) -> None:
@@ -41,6 +47,7 @@ def _add_edges(adj: list[set[int]], pairs: Iterable) -> None:
             u, v = e
         except (TypeError, ValueError):
             raise ValueError(f"edge entry {_brief(e)} is not a pair") from None
+        # has_vertex's rule, inline: this runs once per edge of every graph.
         if type(u) is not int or type(v) is not int or u == v or not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge {_brief(e)} does not join two distinct vertices of 0..{n - 1}")
         adj[u].add(ids[v])
@@ -76,7 +83,7 @@ class Graph:
         return len(self._adj)
 
     def _check(self, v: int) -> None:
-        if type(v) is not int or not 0 <= v < len(self._adj):
+        if not self.has_vertex(v):
             raise ValueError(f"vertex {v!r} is not in the graph")
 
     def has_vertex(self, v: int) -> bool:

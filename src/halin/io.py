@@ -3,10 +3,11 @@
 Graph JSON is an object with fields "n" (vertex count), "edges"
 (array of [u, v] pairs) and an optional "outer" (array of outer-cycle
 vertex ids). Unknown fields, self-loops, duplicate edges (in either
-orientation) and ids outside 0..n-1 are rejected, as is a file that is
-not JSON or nests too deeply for the JSON parser. Serialization is
-canonical (sorted edges, fixed key order, ``json.dumps``' default
-layout) so equal graphs produce identical bytes.
+orientation), ids outside 0..n-1 and an "n" above 2 * len(edges) + 1
+(a bound on memory: at most one vertex may touch no edge) are rejected,
+as is a file that is not JSON or nests too deeply for the JSON parser.
+Serialization is canonical (sorted edges, fixed key order,
+``json.dumps``' default layout) so equal graphs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def _is_id(x: object) -> bool:
 def graph_to_dict(g: Graph, outer: set[int] | None = None) -> dict[str, object]:
     obj: dict[str, object] = {
         "n": g.n,
-        "edges": [[u, v] for u, v in sorted(g.edges())],
+        "edges": sorted(g.edges()),  # json writes each (u, v) as [u, v]
     }
     if outer is not None:
         obj["outer"] = sorted(outer)
@@ -49,12 +50,14 @@ def graph_from_dict(obj: object) -> tuple[Graph, set[int] | None]:
         raise GraphFormatError(f"unknown fields: {_brief(sorted(unknown))}")
     if "n" not in obj or "edges" not in obj:
         raise GraphFormatError('fields "n" and "edges" are required')
-    n = obj["n"]
-    if not _is_id(n) or n < 0:
-        raise GraphFormatError('"n" must be a non-negative integer')
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be an array of [u, v] pairs')
+    n = obj["n"]
+    if not _is_id(n) or n < 0:
+        raise GraphFormatError('"n" must be a non-negative integer')
+    if n > 2 * len(edges) + 1:
+        raise GraphFormatError('"n" must be at most 2 * (number of edges) + 1')
     try:
         g = Graph.from_edges(n, edges)
     except ValueError as exc:

@@ -9,7 +9,6 @@ from __future__ import annotations
 from itertools import combinations
 
 from .graph import Graph
-from .recognition import certify
 
 MAX_ORACLE_VERTICES = 16
 MAX_ORACLE_COLORS = 5
@@ -79,19 +78,3 @@ def is_chordal_bruteforce(g: Graph) -> bool:
         del adj[simplicial]
     return True
 
-
-def is_halin_bruteforce(g: Graph) -> bool:
-    """True iff some set of vertices is the outer cycle of a Halin
-    decomposition of ``g``.
-
-    The inner tree has n - 1 edges, so the outer cycle has m - n + 1
-    vertices, each of degree 3; every set of that many degree-3 vertices
-    is tried with ``certify``.
-    """
-    if g.n > MAX_ORACLE_VERTICES:
-        raise ValueError(f"size guard: brute force capped at n <= {MAX_ORACLE_VERTICES}")
-    k = g.num_edges() - g.n + 1
-    if k < 3:
-        return False
-    cubic = sorted(v for v in g.vertices() if g.degree(v) == 3)
-    return any(certify(g, set(outer)) is not None for outer in combinations(cubic, k))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .graph import Graph, _add_edges
+from .graph import Graph, _add_edges, _ids
 from .recognition import HalinCertificate, MalformedCertificateError, _Record, check_certificate
 
 
@@ -173,7 +173,7 @@ def _peo_width(filled: Graph, order: list[int]) -> int | None:
     (the test of Rose, Tarjan and Lueker, 1976). Raises ValueError unless
     ``order`` lists each vertex id once, each an int (a bool is no id)."""
     n = filled.n
-    if len(order) != n or {*map(type, order)} - {int} or set(order) != set(range(n)):
+    if len(order) != n or not _ids(order, n) or len(set(order)) != n:
         raise ValueError("order is not a permutation of the vertex set")
     adj = filled._adj
     done: set[int] = set()

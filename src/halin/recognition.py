@@ -24,7 +24,7 @@ from collections.abc import Iterator
 from itertools import compress, filterfalse, islice, repeat
 from operator import and_
 
-from .graph import Graph
+from .graph import Graph, _ids
 
 REASON_DISCONNECTED = "disconnected"
 REASON_LOW_DEGREE = "vertex_of_degree_below_3"
@@ -162,10 +162,7 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     """
     outer = frozenset(outer)  # the certificate's own set; no copy if frozen
     adj = g._adj
-    # Ids are ints in 0..n-1; a str, a float or a bool is no id.
-    if len(outer) < 3 or set(map(type, outer)) != {int}:
-        return None
-    if min(outer) < 0 or max(outer) >= len(adj):
+    if len(outer) < 3 or not _ids(outer, len(adj)):
         return None
     # Outer vertices: 2 cycle neighbors + 1 tree parent.
     if set(map(len, map(adj.__getitem__, outer))) != {3}:
@@ -176,12 +173,12 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     first = sorted(adj[start] & outer)
     if len(first) != 2:
         return None
+    # Every vertex the walk reaches has exactly two outer neighbours (the
+    # checks below), so it can reach no vertex but start twice, and ends.
     order = [start]
     prev, cur = start, first[0]
     while cur != start:
         order.append(cur)
-        if len(order) > len(outer):
-            return None
         # cur has degree 3 and was reached from prev: exactly one of its
         # other two neighbours must be outer.
         a, b, c = adj[cur]
@@ -412,12 +409,6 @@ def _rims(
     that v is on the rim around hub i.
     """
     if not hubs:
-        return
-    if not trace:
-        rest = frozenset(residue)
-        if len(rest) - 1 == size:
-            for hub in hubs:
-                yield rest - {hub}
         return
     full = (1 << len(hubs)) - 1
     mask = [0] * n

@@ -5,11 +5,16 @@ one-pass ``certify`` is compared against.
 set from the two steps below, checking only that the outer set induces
 a cycle and that the other edges form a spanning tree; ``certify``
 must return an equal certificate on every Halin decomposition.
+``is_halin_bruteforce`` is the exhaustive recognizer that ``recognize``
+is compared against.
 """
 
 from collections import deque
+from itertools import combinations
 
 from halin import Graph, HalinCertificate, MalformedCertificateError
+from halin.oracles import MAX_ORACLE_VERTICES
+from halin.recognition import certify
 
 
 def outer_cycle_order(g: Graph, outer: set[int]) -> list[int]:
@@ -82,3 +87,20 @@ def reference_certificate(g: Graph, outer: set[int]) -> HalinCertificate:
     order = outer_cycle_order(g, outer)
     parent, root = inner_tree(g, outer)
     return HalinCertificate(frozenset(outer), tuple(order), parent, root)
+
+
+def is_halin_bruteforce(g: Graph) -> bool:
+    """True iff some set of vertices is the outer cycle of a Halin
+    decomposition of ``g``.
+
+    The inner tree has n - 1 edges, so the outer cycle has m - n + 1
+    vertices, each of degree 3; every set of that many degree-3 vertices
+    is tried with ``certify``.
+    """
+    if g.n > MAX_ORACLE_VERTICES:
+        raise ValueError(f"size guard: brute force capped at n <= {MAX_ORACLE_VERTICES}")
+    k = g.num_edges() - g.n + 1
+    if k < 3:
+        return False
+    cubic = sorted(v for v in g.vertices() if g.degree(v) == 3)
+    return any(certify(g, set(outer)) is not None for outer in combinations(cubic, k))

@@ -82,6 +82,23 @@ def test_generate_rejects_bad_parameters(capsys):
     assert main(["generate", "--variant", "necklace", "--n", "7"]) == 2
 
 
+@pytest.mark.parametrize(
+    "variant,n,line",
+    [
+        ("wheel", 3, "wheel needs at least 4 vertices"),
+        ("necklace", 4, "necklace needs spine length at least 2, so at least 6 vertices"),
+        ("necklace", 7, "necklace requires an even vertex count"),
+        ("halin", 3, "Halin graphs need at least 4 vertices"),
+        ("halin-cubic", 3, "Halin graphs need at least 4 vertices"),
+        ("halin-cubic", 9, "cubic Halin graphs need an even vertex count"),
+    ],
+)
+def test_generate_error_lines_are_pinned(capsys, variant, n, line):
+    assert main(["generate", "--variant", variant, "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {line}\n")
+
+
 def test_certificate_emission_and_reuse(tmp_path, capsys):
     graph = tmp_path / "g.json"
     cert = tmp_path / "cert.json"
@@ -254,6 +271,52 @@ def _assert_cli_format_error(*args):
 def test_tampered_certificate_is_format_error(tmp_path, command, doc):
     graph, docs = _tampered_certificates(tmp_path)
     _assert_cli_format_error(command, "--in", graph, "--certificate", docs[doc])
+
+
+def test_huge_vertex_count_is_a_format_error_under_a_memory_limit(tmp_path):
+    # "n" may not exceed 2 * len(edges) + 1, so a short document cannot
+    # make the reader allocate 10**9 adjacency sets. The child limits its
+    # own address space to 300 MB before it reads the file.
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1000000000, "edges": []}')
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
+        "from halin.cli import main\n"
+        "sys.exit(main(['recognize', '--in', sys.argv[1]]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(halin.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == 'error: "n" must be at most 2 * (number of edges) + 1\n'
+
+
+@pytest.mark.parametrize(
+    "doc,line",
+    [
+        ('{"n": 3, "edges": [[0, 1]], "outer": 3}', '"outer" must be an array of vertex ids'),
+        ('{"n": 3, "edges": [[0, 1]], "outer": [0, "1"]}', '"outer" must be an array of vertex ids'),
+        ('{"n": 1, "edges": []}', None),
+        ('{"n": 2, "edges": []}', '"n" must be at most 2 * (number of edges) + 1'),
+        ('{"n": 5, "edges": [[0, 1], [2, 3]]}', None),
+        ('{"n": 6, "edges": [[0, 1], [2, 3]]}', '"n" must be at most 2 * (number of edges) + 1'),
+    ],
+)
+def test_vertex_count_is_bounded_by_the_edge_list(tmp_path, capsys, doc, line):
+    # One vertex may touch no edge; a second is a format error, checked
+    # before any outer set. Within the bound the outer checks still run.
+    path = tmp_path / "g.json"
+    path.write_text(doc)
+    code = main(["recognize", "--in", str(path)])
+    err = capsys.readouterr().err
+    if line is None:
+        assert (code, err) == (1, "")
+    else:
+        assert (code, err) == (2, f"error: {line}\n")
 
 
 # A Halin graph whose certificate has root 0, outer {2, 4, 5, 6, 7} and

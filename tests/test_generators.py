@@ -133,3 +133,11 @@ def test_generate_dispatch():
         generate(GenSpec(9, "necklace"))
     with pytest.raises(ValueError):
         generate(GenSpec(4, "necklace"))
+
+
+def test_generate_names_an_unknown_variant():
+    # A check of generate itself; the generators' own errors are pinned
+    # in test_cli.py.
+    with pytest.raises(ValueError) as info:
+        generate(GenSpec(8, "moebius"))
+    assert str(info.value) == "unknown variant 'moebius'"

@@ -16,7 +16,6 @@ from halin import (
     verify_halin,
 )
 from halin.generators import VARIANTS
-from halin.oracles import is_halin_bruteforce
 from halin.recognition import (
     REASON_DISCONNECTED,
     REASON_LOW_DEGREE,
@@ -25,7 +24,7 @@ from halin.recognition import (
     certify,
     check_certificate,
 )
-from reference import inner_tree, outer_cycle_order
+from reference import inner_tree, is_halin_bruteforce, outer_cycle_order
 
 
 def test_accepts_k4():
@@ -66,6 +65,20 @@ def test_rejects_triangle_free_cubic():
     )
     result = recognize(cube)
     assert not result.is_halin
+    assert result.reason == REASON_STUCK
+
+
+def test_triangle_with_shared_outside_neighbour_is_skipped():
+    # x, y, v = 0, 1, 2 (and other triangles here) are mutually adjacent
+    # degree-3 vertices whose outside neighbours are not distinct, which
+    # the triangle rule must skip.
+    g = Graph.from_edges(
+        8,
+        [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3), (1, 4), (3, 5), (4, 5), (4, 6), (5, 6),
+         (6, 7), (7, 3), (7, 5)],
+    )
+    result = recognize(g)
+    assert result.is_halin == is_halin_bruteforce(g)
     assert result.reason == REASON_STUCK
 
 
