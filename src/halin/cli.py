@@ -160,7 +160,7 @@ def _cmd_peo(args: argparse.Namespace) -> int:
     _emit(
         {
             "order": result.order,
-            "fill_edges": [list(e) for e in sorted(result.fill_edges)],
+            "fill_edges": sorted(result.fill_edges),
         }
     )
     return 0

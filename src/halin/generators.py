@@ -25,8 +25,16 @@ class GenSpec(namedtuple("GenSpec", "n variant seed", defaults=("halin", 0))):
     __slots__ = ()
 
 
+def _check_int(n, what: str) -> None:
+    """Graph's id rule applied to a size: ``type(n) is int``, so a float,
+    a str or a bool is no size."""
+    if type(n) is not int:
+        raise ValueError(f"{what} must be an int, not {type(n).__name__}")
+
+
 def make_wheel(n: int) -> tuple[Graph, set[int]]:
     """Wheel on n vertices: hub n-1 joined to the rim cycle 0..n-2."""
+    _check_int(n, "wheel vertex count")
     if n < 4:
         raise ValueError("wheel needs at least 4 vertices")
     hub = n - 1
@@ -42,6 +50,7 @@ def make_necklace(k: int) -> tuple[Graph, set[int]]:
     get consecutive ids k..2k+1 in planar order, so the cycle joins them
     in id order.
     """
+    _check_int(k, "necklace spine length")
     if k < 2:
         raise ValueError("necklace needs spine length at least 2, so at least 6 vertices")
     outer = list(range(k, 2 * k + 2))
@@ -65,10 +74,12 @@ def make_halin_cubic(spec: GenSpec) -> tuple[Graph, set[int]]:
 
 def generate(spec: GenSpec) -> tuple[Graph, set[int]]:
     """Dispatch on spec.variant; wheel and necklace ignore the seed. Each
-    generator checks its own sizes; here only the variant and an odd necklace n."""
+    generator checks its own sizes; here only the variant and the necklace n,
+    which this function turns into a spine length."""
     if spec.variant == "wheel":
         return make_wheel(spec.n)
     if spec.variant == "necklace":
+        _check_int(spec.n, "necklace vertex count")
         if spec.n % 2 != 0:
             raise ValueError("necklace requires an even vertex count")
         return make_necklace((spec.n - 2) // 2)
@@ -87,6 +98,7 @@ def _grow_tree(n: int, rng: random.Random, cubic: bool) -> list[list[int]]:
     leaf into an internal node with 2 children (cubic) or 2-3 children
     (general), never leaving a remainder of 1. Checks n for both callers.
     """
+    _check_int(n, "Halin vertex count")
     if n < 4:
         raise ValueError("Halin graphs need at least 4 vertices")
     if cubic and n % 2 != 0:

@@ -24,22 +24,42 @@ from .recognition import HalinCertificate, MalformedCertificateError, _Record, c
 class TraceStep(namedtuple("TraceStep", "rule eliminated clique")):
     """One reduction: rule tag, eliminated vertex, and its 4-clique.
 
-    A step is a tuple with named fields, so it is cheap to build and
-    compares and hashes by value. For R1 the clique reads (p, q, r, s)
-    with q eliminated and pr filled; for R2 it reads (p, r, s, t) with s
-    eliminated and pt, rt filled.
+    A step is a tuple with named fields, so it compares and hashes by
+    value, equal to the plain tuple of its fields. For R1 the clique
+    reads (p, q, r, s) with q eliminated and pr filled; for R2 it reads
+    (p, r, s, t) with s eliminated and pt, rt filled.
+
+    ``peo_halin`` stores its steps as plain tuples and ``PeoResult.trace``
+    builds the TraceSteps on each read: the cyclic collector untracks an
+    exact tuple of untracked items, but never an instance of a tuple
+    subclass, so stored TraceSteps would be rescanned by every full
+    collection for as long as the result lives.
     """
 
     __slots__ = ()
 
 
+_new_tuple = tuple.__new__  # builds a TraceStep without its Python-level __new__
+
+
 class PeoResult(_Record):
+    """Elimination order, fill edges and the trace of reduction steps.
+
+    ``trace`` is read-only and returns a new list of TraceSteps on each
+    read; the steps themselves are kept as given, as plain tuples when
+    ``peo_halin`` built the result.
+    """
+
     def __init__(
         self, order: list[int], fill_edges: set[tuple[int, int]], trace: list[TraceStep]
     ) -> None:
         self.order = order
         self.fill_edges = fill_edges
-        self.trace = trace
+        self.__dict__["trace"] = trace
+
+    @property
+    def trace(self) -> list[TraceStep]:
+        return [_new_tuple(TraceStep, step) for step in self.__dict__["trace"]]
 
 
 def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
@@ -88,8 +108,7 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
     # never consecutive, R2 a cycle vertex and a vertex never its parent.
     order: list[int] = []
     fills: set[tuple[int, int]] = set()
-    trace: list[TraceStep] = []
-    new_tuple = tuple.__new__  # builds a TraceStep without its Python-level __new__
+    trace: list[tuple] = []  # plain tuples, see TraceStep
     live = n
     cur = cyc[0]
     idle = 0
@@ -100,7 +119,7 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
         s = par[cur]
         if par[q] == s and par[r] == s and clen > 3:
             # R1 on the triple (cur, q, r): eliminate q, fill cur-r.
-            trace.append(new_tuple(TraceStep, ("R1", q, (cur, q, r, s))))
+            trace.append(("R1", q, (cur, q, r, s)))
             order.append(q)
             fills.add((cur, r) if cur < r else (r, cur))
             nxt[cur] = r  # q is off the cycle now, never read again
@@ -112,7 +131,7 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
             t = inner_xor[s]
             inner_deg[t] -= 1
             inner_xor[t] ^= s
-            trace.append(new_tuple(TraceStep, ("R2", s, (cur, q, s, t))))
+            trace.append(("R2", s, (cur, q, s, t)))
             order.append(s)
             fills.add((cur, t) if cur < t else (t, cur))
             fills.add((q, t) if q < t else (t, q))

@@ -52,8 +52,8 @@ class _ReadOnlyDict(dict):
 
 class _Record:
     """Value equality, and a repr that lists the fields in the order
-    ``__init__`` sets them, for a class that keeps its fields in
-    ``__dict__``. Instances are unhashable."""
+    ``__init__`` sets them, each as attribute access reads it, for a class
+    that keeps its fields in ``__dict__``. Instances are unhashable."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -61,7 +61,7 @@ class _Record:
         return self.__dict__ == other.__dict__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__dict__)
         return f"{type(self).__name__}({fields})"
 
 

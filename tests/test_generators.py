@@ -141,3 +141,18 @@ def test_generate_names_an_unknown_variant():
     with pytest.raises(ValueError) as info:
         generate(GenSpec(8, "moebius"))
     assert str(info.value) == "unknown variant 'moebius'"
+
+
+@pytest.mark.parametrize("variant", ["wheel", "necklace", "halin", "halin_cubic"])
+@pytest.mark.parametrize("n", [8.0, True, "8"])
+def test_a_size_that_is_no_int_raises_value_error(variant, n):
+    # Graph's id rule: type(n) is int, so a float, a str or a bool is no size.
+    with pytest.raises(ValueError, match="must be an int"):
+        generate(GenSpec(n, variant))
+
+
+@pytest.mark.parametrize("make", [make_wheel, make_necklace])
+def test_the_sized_generators_check_the_type_of_their_size(make):
+    for n in (6.0, True, "6"):
+        with pytest.raises(ValueError, match="must be an int"):
+            make(n)

@@ -1,13 +1,26 @@
 """The pipeline leaves no reference cycles behind: with the cyclic
 collector off, everything it builds is freed by reference counting
-alone, so a caller may run it with ``gc.disable()``."""
+alone, so a caller may run it with ``gc.disable()``.
 
+With the collector on, a result adds nothing to the collections that
+follow it. The collector untracks an exact tuple whose items are all
+untracked, at the first collection that sees it, but never an instance
+of a tuple subclass such as a namedtuple. So ``peo_halin`` stores its
+trace steps as plain tuples, and a live result holds no tracked object
+that every later full collection would rescan."""
+
+import copy
 import gc
+import hashlib
 import json
+import pickle
 
 from halin import (
     GenSpec,
     Graph,
+    PeoResult,
+    TraceStep,
+    certificate_from_outer,
     chordal_completion,
     color_halin,
     generate,
@@ -44,3 +57,64 @@ def test_pipeline_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# sha256 of json.dumps(trace) for peo_halin on 16k-vertex graphs of seed 1
+# in generator labelling, as pinned when the steps were stored as TraceSteps.
+TRACE_SHA256 = {
+    "wheel": "5b982e12ccbd75f0a50f73d8495eccfc159dc6b1468457fb0e802c2fb952eee8",
+    "necklace": "3a7fdc13b8887c054f6a3877a4cc800a35775f40b82d211183fef2939f21e007",
+    "halin": "a7ad327596793288b91a9a170819979da3b3c8d5a7c86f65c3e1f1a2bee0cb0b",
+}
+
+
+def _peo_16k(variant):
+    g, outer = generate(GenSpec(16000, variant, seed=1))
+    return peo_halin(g, certificate_from_outer(g, outer))
+
+
+def test_a_result_holds_no_tracked_objects():
+    # Also run directly, as test_a_result_holds_no_tracked_objects(), on
+    # interpreters without pytest: the tracking rule is CPython's own.
+    for variant in TRACE_SHA256:
+        result = _peo_16k(variant)
+        gc.collect()
+        gc.collect()
+        held = gc.get_referents(*vars(result).values())
+        assert len(held) > 16000
+        assert sum(map(gc.is_tracked, held)) == 0, variant
+
+
+def test_trace_reads_as_the_pinned_trace_steps():
+    for variant, digest in TRACE_SHA256.items():
+        trace = _peo_16k(variant).trace
+        assert len(trace) == 15996
+        assert all(type(step) is TraceStep for step in trace)
+        assert hashlib.sha256(json.dumps(trace).encode()).hexdigest() == digest
+
+
+def test_trace_is_read_only_and_new_on_each_read():
+    result = _peo_16k("halin")
+    first = result.trace
+    assert result.trace == first and result.trace is not first
+    first.clear()
+    assert len(result.trace) == 15996
+    try:
+        result.trace = []
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError("PeoResult.trace took an assignment")
+
+
+def test_a_result_built_from_trace_steps_works_like_one_peo_halin_built():
+    g, outer = generate(GenSpec(500, "halin", seed=3))
+    made = peo_halin(g, certificate_from_outer(g, outer))
+    steps = [TraceStep(*step) for step in made.trace]
+    hand = PeoResult(list(made.order), set(made.fill_edges), steps)
+    assert hand == made and made == hand
+    assert repr(hand) == repr(made)
+    assert hand.trace == steps and all(type(step) is TraceStep for step in hand.trace)
+    assert list(chordal_completion(g, hand).edges()) == list(chordal_completion(g, made).edges())
+    for clone in (pickle.loads(pickle.dumps(hand)), copy.copy(hand), copy.deepcopy(hand)):
+        assert clone == made and clone.trace == steps
