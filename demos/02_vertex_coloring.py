@@ -3,26 +3,30 @@
 The tree is 2-colored by depth parity, then part of the cycle is
 recolored. Which pattern applies depends on the cycle parity and the
 colors the tree coloring left on the cycle; the trace records the case.
+The count is optimal when a witness in the graph forces as many colors:
+the hub and its odd rim on an even wheel, else a triangle of two
+consecutive cycle vertices and their common parent. That is the check
+`halin verify --mode coloring` runs, at any size.
 """
 
 from halin import (
     ColoringTrace,
     GenSpec,
     certificate_from_outer,
-    chromatic_number_bruteforce,
     color_halin,
     make_halin,
     make_wheel,
 )
+from halin.coloring import _forced_colors
 
-for n in (4, 5, 6, 7, 10, 11):
+for n in (4, 5, 6, 7, 10, 11, 40):
     g, outer = make_wheel(n)
     cert = certificate_from_outer(g, outer)
     trace = ColoringTrace()
     colors = color_halin(g, cert, trace)
     print(
         f"wheel W{n}: case {trace.case}, {len(set(colors.values()))} colors "
-        f"(brute force says {chromatic_number_bruteforce(g, 5) if n <= 16 else '-'})"
+        f"(a witness forces {_forced_colors(g, cert)})"
     )
 
 # On random instances the coloring stays proper and 3 colors suffice.

@@ -10,7 +10,6 @@ from halin import (
     GenSpec,
     certificate_from_outer,
     chordal_completion,
-    is_chordal_bruteforce,
     make_halin,
     make_wheel,
     peo_halin,
@@ -26,13 +25,12 @@ print("W5 fill edges:       ", sorted(result.fill_edges))
 for step in result.trace:
     print(f"  {step.rule}: removed {step.eliminated}, clique {step.clique}")
 
-# A larger instance: the completion is chordal, the order is a PEO, and
+# A larger instance: the order is a PEO, so the completion is chordal, and
 # the width never exceeds 3 (one less than the K4 cliques the rules build).
-g, outer = make_halin(GenSpec(16, seed=8))
+g, outer = make_halin(GenSpec(40, seed=8))
 result = peo_halin(g, certificate_from_outer(g, outer))
 completion = chordal_completion(g, result)
-print(f"\nn=16: {len(result.fill_edges)} fill edges, "
-      f"PEO valid = {verify_peo(completion, result.order)}, "
-      f"treewidth = {treewidth_from_peo(completion, result.order)}, "
-      f"chordal (brute force) = {is_chordal_bruteforce(completion)}")
+print(f"\nn=40: {len(result.fill_edges)} fill edges, "
+      f"PEO valid (so chordal) = {verify_peo(completion, result.order)}, "
+      f"treewidth = {treewidth_from_peo(completion, result.order)}")
 print("rule sequence:", "".join(step.rule[-1] for step in result.trace))

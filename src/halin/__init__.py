@@ -33,11 +33,9 @@ _SOURCE = {
     "TraceStep": "peo",
     "certificate_from_outer": "recognition",
     "chordal_completion": "peo",
-    "chromatic_number_bruteforce": "oracles",
     "color_halin": "coloring",
     "dumps_graph": "io",
     "generate": "generators",
-    "is_chordal_bruteforce": "oracles",
     "is_even_wheel": "coloring",
     "load_graph": "io",
     "make_halin": "generators",

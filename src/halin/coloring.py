@@ -49,6 +49,30 @@ def is_even_wheel(g: Graph, cert: HalinCertificate) -> bool:
     return g.n - len(cert.outer) == 1 and g.n % 2 == 0
 
 
+def _forced_colors(g: Graph, cert: HalinCertificate) -> int | None:
+    """The count of colors a witness read from g's adjacency sets forces
+    on every proper coloring of g, or None when the witness is not in g.
+
+    For an even wheel the witness is the hub joined to every vertex of
+    its odd rim (4 colors); for every other Halin graph, a triangle of
+    two consecutive cycle vertices and their common parent (3 colors),
+    which the children of a deepest inner vertex always give.
+    """
+    adj = g._adj
+    cyc = cert.cycle_order
+    ring = zip(cyc, cyc[1:] + cyc[:1])
+    if is_even_wheel(g, cert):
+        hub = cert.root
+        odd_wheel = len(cyc) % 2 == 1 and all(v in adj[u] and hub in adj[u] for u, v in ring)
+        return 4 if odd_wheel else None
+    parent = cert.parent
+    for u, v in ring:
+        p = parent[u]
+        if parent[v] == p:
+            return 3 if v in adj[u] and p in adj[u] and p in adj[v] else None
+    return None
+
+
 def color_halin(
     g: Graph, cert: HalinCertificate, trace: ColoringTrace | None = None
 ) -> dict[int, int]:

@@ -186,6 +186,37 @@ def treewidth_from_peo(filled: Graph, order: list[int]) -> int:
     return width
 
 
+def _is_chordal(g: Graph) -> bool:
+    """True iff g is chordal, in O(n + m) plus one ``_peo_width`` walk.
+
+    Maximum cardinality search numbers next an unnumbered vertex with the
+    most numbered neighbors; the reverse of its order is a PEO iff g is
+    chordal (Tarjan and Yannakakis, 1984), and ``_peo_width`` tests it.
+    """
+    adj = g._adj
+    n = len(adj)
+    count = [0] * n  # numbered neighbors; -1 once numbered itself
+    buckets = [set(range(n))]  # buckets[k]: unnumbered, with count k
+    order: list[int] = []
+    top = 0
+    for _ in range(n):
+        while not buckets[top]:
+            top -= 1
+        v = buckets[top].pop()
+        count[v] = -1
+        order.append(v)
+        for w in adj[v]:
+            k = count[w]
+            if k >= 0:
+                buckets[k].remove(w)
+                if k + 1 == len(buckets):
+                    buckets.append(set())
+                buckets[k + 1].add(w)
+                count[w] = k + 1
+        top = min(top + 1, len(buckets) - 1)
+    return _peo_width(g, order[::-1]) is not None
+
+
 def _peo_width(filled: Graph, order: list[int]) -> int | None:
     """The largest count of later neighbors of a vertex over ``order``,
     or None when some vertex's later neighbors are not pairwise adjacent

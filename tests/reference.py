@@ -1,20 +1,27 @@
-"""Step-by-step certificate builders, kept as the reference that the
-one-pass ``certify`` is compared against.
+"""Reference implementations the package is compared against.
 
 ``reference_certificate`` builds the canonical certificate of an outer
 set from the two steps below, checking only that the outer set induces
 a cycle and that the other edges form a spanning tree; ``certify``
 must return an equal certificate on every Halin decomposition.
 ``is_halin_bruteforce`` is the exhaustive recognizer that ``recognize``
-is compared against.
+is compared against, and ``chromatic_number_bruteforce`` and
+``is_chordal_bruteforce`` the exhaustive checks that the witnesses of
+``halin verify`` are compared against. The three are deliberately
+naive and hard-capped at 16 vertices, so that a test can never wander
+into exponential territory by accident. ``halin_graphs`` enumerates
+every Halin graph up to a number of leaves, from its plane trees.
 """
 
 from collections import deque
+from functools import cache
 from itertools import combinations
 
 from halin import Graph, HalinCertificate, MalformedCertificateError
-from halin.oracles import MAX_ORACLE_VERTICES
 from halin.recognition import certify
+
+MAX_ORACLE_VERTICES = 16
+MAX_ORACLE_COLORS = 5
 
 
 def outer_cycle_order(g: Graph, outer: set[int]) -> list[int]:
@@ -104,3 +111,128 @@ def is_halin_bruteforce(g: Graph) -> bool:
         return False
     cubic = sorted(v for v in g.vertices() if g.degree(v) == 3)
     return any(certify(g, set(outer)) is not None for outer in combinations(cubic, k))
+
+
+def chromatic_number_bruteforce(g: Graph, max_k: int) -> int | None:
+    """Smallest k <= max_k admitting a proper k-coloring, else None.
+
+    Exhaustive assignment with two prunings: a vertex never takes a
+    neighbor's color, and color ids are introduced in ascending order to
+    kill palette symmetry.
+    """
+    if g.n > MAX_ORACLE_VERTICES:
+        raise ValueError(f"size guard: brute force capped at n <= {MAX_ORACLE_VERTICES}")
+    if max_k > MAX_ORACLE_COLORS:
+        raise ValueError(f"size guard: brute force capped at k <= {MAX_ORACLE_COLORS}")
+    if g.n == 0:
+        return 0
+    verts = sorted(g.vertices(), key=lambda v: -g.degree(v))
+    index = {v: i for i, v in enumerate(verts)}
+    nbrs = [[index[w] for w in g.neighbors(v)] for v in verts]
+    for k in range(1, max_k + 1):
+        if _colorable(nbrs, k):
+            return k
+    return None
+
+
+def _colorable(nbrs: list[list[int]], k: int) -> bool:
+    n = len(nbrs)
+    colors = [-1] * n
+
+    def assign(i: int, used: int) -> bool:
+        if i == n:
+            return True
+        taken = {colors[j] for j in nbrs[i] if colors[j] >= 0}
+        for c in range(min(used + 1, k)):
+            if c in taken:
+                continue
+            colors[i] = c
+            if assign(i + 1, max(used, c + 1)):
+                return True
+        colors[i] = -1
+        return False
+
+    return assign(0, 0)
+
+
+def is_chordal_bruteforce(g: Graph) -> bool:
+    """True iff no induced cycle of length >= 4 exists.
+
+    Strips simplicial vertices (closed neighborhood a clique) until the
+    graph empties; getting stuck is equivalent to a chordless cycle.
+    """
+    if g.n > MAX_ORACLE_VERTICES:
+        raise ValueError(f"size guard: brute force capped at n <= {MAX_ORACLE_VERTICES}")
+    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    while adj:
+        simplicial = None
+        for v in sorted(adj):
+            if all(b in adj[a] for a, b in combinations(adj[v], 2)):
+                simplicial = v
+                break
+        if simplicial is None:
+            return False
+        for w in adj[simplicial]:
+            adj[w].discard(simplicial)
+        del adj[simplicial]
+    return True
+
+
+
+def halin_graphs(max_leaves: int):
+    """Every Halin graph with 3 to ``max_leaves`` leaves, as (graph, outer
+    set), once per plane tree whose root has at least three children and
+    whose other inner nodes have at least two.
+
+    Such trees with L leaves number the little Schröder numbers (OEIS
+    A001003) less the trees whose root has two children. Each tree is
+    numbered in preorder from the root, 0, and its leaves are closed
+    into a cycle in their plane order.
+    """
+    for leaves in range(3, max_leaves + 1):
+        for kids in _forests(leaves):
+            if len(kids) >= 3:
+                yield _close_leaves(kids)
+
+
+@cache
+def _plane_trees(leaves: int) -> tuple:
+    """Every plane tree with ``leaves`` leaves whose inner nodes have at
+    least two children, each as the tuple of its children's trees: a
+    leaf is ()."""
+    if leaves == 1:
+        return ((),)
+    return tuple(
+        (first, *rest)
+        for k in range(1, leaves)
+        for first in _plane_trees(k)
+        for rest in _forests(leaves - k)
+    )
+
+
+@cache
+def _forests(leaves: int) -> tuple:
+    """Every non-empty sequence of such trees with ``leaves`` leaves in all."""
+    return tuple(
+        (first, *rest)
+        for k in range(1, leaves + 1)
+        for first in _plane_trees(k)
+        for rest in (_forests(leaves - k) if k < leaves else ((),))
+    )
+
+
+def _close_leaves(root: tuple) -> tuple[Graph, set[int]]:
+    """The tree ``root`` plus the cycle through its leaves, in plane order."""
+    edges, leaves = [], []
+    stack = [(root, 0)]
+    count = 1
+    while stack:
+        kids, v = stack.pop()
+        if not kids:
+            leaves.append(v)
+        ids = range(count, count + len(kids))
+        count += len(kids)
+        edges += [(v, w) for w in ids]
+        stack += reversed(list(zip(kids, ids)))
+    edges += zip(leaves, leaves[1:] + leaves[:1])
+    return Graph.from_edges(count, edges), set(leaves)

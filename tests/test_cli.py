@@ -215,6 +215,48 @@ def test_verify_loads_its_input_once(tmp_path, capsys, monkeypatch, mode):
     assert calls == [str(graph)]
 
 
+def test_verify_chordal_decides_at_any_size(tmp_path, capsys):
+    cycle = tmp_path / "c20.json"
+    cycle.write_text(json.dumps({"n": 20, "edges": [[i, (i + 1) % 20] for i in range(20)]}))
+    assert main(["verify", "--in", str(cycle), "--mode", "chordal"]) == 1
+    assert _out(capsys) == {"mode": "chordal", "chordal": False, "ok": False}
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"n": 40, "edges": [[i // 2, i] for i in range(1, 40)]}))
+    assert main(["verify", "--in", str(tree), "--mode", "chordal"]) == 0
+    assert _out(capsys) == {"mode": "chordal", "chordal": True, "ok": True}
+
+
+def test_verify_answers_above_16_vertices(tmp_path, capsys):
+    graph, completion, wheel = (tmp_path / name for name in ("g.json", "c.json", "w.json"))
+    main(["generate", "--variant", "halin", "--n", "30", "--seed", "7", "--out", str(graph)])
+    main(["peo", "--in", str(graph), "--emit-completion", str(completion)])
+    main(["generate", "--variant", "wheel", "--n", "40", "--out", str(wheel)])
+    capsys.readouterr()
+    assert main(["verify", "--in", str(completion), "--mode", "chordal"]) == 0
+    assert _out(capsys)["chordal"] is True
+    assert main(["verify", "--in", str(graph), "--mode", "coloring"]) == 0
+    assert _out(capsys)["chromatic_number"] == 3
+    assert main(["verify", "--in", str(graph), "--mode", "peo"]) == 0
+    assert _out(capsys)["chordal"] is True
+    assert main(["verify", "--in", str(wheel), "--mode", "coloring"]) == 0
+    assert _out(capsys)["chromatic_number"] == 4
+
+
+def test_verify_peo_mode_searches_only_when_the_order_fails(tmp_path, capsys, monkeypatch):
+    import halin.peo
+
+    def rejected(filled, order):
+        raise ValueError("order is not a perfect elimination ordering")
+
+    monkeypatch.setattr(halin.peo, "treewidth_from_peo", rejected)
+    graph = tmp_path / "g.json"
+    main(["generate", "--variant", "halin", "--n", "30", "--seed", "2", "--out", str(graph)])
+    capsys.readouterr()
+    assert main(["verify", "--in", str(graph), "--mode", "peo"]) == 1
+    out = _out(capsys)
+    assert (out["peo_valid"], out["treewidth"], out["chordal"], out["ok"]) == (False, None, True, False)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["recognize"])  # missing --in

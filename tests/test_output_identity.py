@@ -139,7 +139,7 @@ NON_HALIN = {
         "outer": [0, 1, 3, 2],
     },
 }
-CLI_PINNED = "733b9267c11869ea624c0c7e434f12592daab25cc38cabeeede2b1d2d950a686"
+CLI_PINNED = "5c443830f1430ca4a3625c8c43eaf97ecaf1411c5d2562ef2bbbf10bf8dc8671"
 
 
 def test_cli_output_is_pinned(tmp_path, monkeypatch, capsys):

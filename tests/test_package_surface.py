@@ -59,7 +59,7 @@ COMMANDS = {
     "generate": (["generate", "--variant", "halin", "--n", "12"], ["halin.generators"]),
     "color": (["color", "--in", "g.json"], ["halin.coloring"]),
     "peo": (["peo", "--in", "g.json"], ["halin.peo"]),
-    "verify-chordal": (["verify", "--in", "g.json", "--mode", "chordal"], ["halin.oracles"]),
+    "verify-chordal": (["verify", "--in", "g.json", "--mode", "chordal"], ["halin.peo"]),
 }
 
 
@@ -82,10 +82,9 @@ ALL = [
     "C1", "C2", "C3", "C4", "ColoringTrace", "FanRun", "GenSpec", "Graph",
     "GraphFormatError", "HalinCertificate", "MalformedCertificateError", "PeoResult",
     "RecognitionResult", "TraceStep", "certificate_from_outer", "chordal_completion",
-    "chromatic_number_bruteforce", "color_halin", "dumps_graph", "generate",
-    "is_chordal_bruteforce", "is_even_wheel", "load_graph", "make_halin",
-    "make_halin_cubic", "make_necklace", "make_wheel", "peo_halin", "recognize",
-    "save_graph", "treewidth_from_peo", "verify_halin", "verify_peo",
+    "color_halin", "dumps_graph", "generate", "is_even_wheel", "load_graph",
+    "make_halin", "make_halin_cubic", "make_necklace", "make_wheel", "peo_halin",
+    "recognize", "save_graph", "treewidth_from_peo", "verify_halin", "verify_peo",
 ]
 
 SURFACE_CHILD = """

@@ -12,7 +12,6 @@ from halin import (
     chordal_completion,
     color_halin,
     generate,
-    is_chordal_bruteforce,
     make_halin,
     make_necklace,
     make_wheel,
@@ -21,6 +20,7 @@ from halin import (
     verify_peo,
 )
 from halin.recognition import HalinCertificate
+from reference import is_chordal_bruteforce
 
 
 def _run(g, outer):

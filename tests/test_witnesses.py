@@ -1,0 +1,75 @@
+"""The checks behind ``halin verify``, which run at every n, against the
+exhaustive references of ``reference.py``: the chordality test by
+maximum cardinality search on every labelled graph with n <= 6, and the
+coloring witness, the completion's PEO and the chordality test on every
+Halin graph with at most 8 leaves, in its own labelling and in a random
+one."""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from halin import (
+    Graph,
+    chordal_completion,
+    color_halin,
+    make_wheel,
+    peo_halin,
+    recognize,
+    treewidth_from_peo,
+)
+from halin.coloring import _forced_colors
+from halin.peo import _is_chordal
+from reference import (
+    chromatic_number_bruteforce,
+    halin_graphs,
+    is_chordal_bruteforce,
+)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_chordal_check_matches_brute_force_on_every_labelled_graph(n):
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        assert _is_chordal(g) == is_chordal_bruteforce(g), sorted(g.edges())
+
+
+def test_enumerator_yields_every_plane_tree():
+    # Halin graphs with 3..8 leaves: one per plane tree whose root has
+    # >= 3 children and whose other inner nodes have >= 2.
+    counts = [0] * 9
+    for _, outer in halin_graphs(8):
+        counts[len(outer)] += 1
+    assert counts[3:] == [1, 4, 17, 76, 353, 1688]
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_witnesses_on_every_halin_graph_up_to_8_leaves():
+    rng = random.Random(8)
+    for tree_graph, _ in halin_graphs(8):
+        for g in (tree_graph, _relabelled(tree_graph, rng)):
+            cert = recognize(g).certificate
+            assert cert is not None, sorted(g.edges())
+            chromatic = chromatic_number_bruteforce(g, 5)
+            assert _forced_colors(g, cert) == chromatic, sorted(g.edges())
+            assert len(set(color_halin(g, cert).values())) == chromatic
+            result = peo_halin(g, cert)
+            completion = chordal_completion(g, result)
+            assert treewidth_from_peo(completion, result.order) == 3
+            assert _is_chordal(completion) and is_chordal_bruteforce(completion)
+
+
+def test_coloring_witness_is_read_from_the_graph():
+    # The certificate names the witness; the edges must be the graph's.
+    for n in (6, 7):
+        g, _ = make_wheel(n)
+        cert = recognize(g).certificate
+        assert _forced_colors(g, cert) == (4 if n % 2 == 0 else 3)
+        assert _forced_colors(Graph(n), cert) is None
