@@ -20,7 +20,7 @@ from halin import (
 )
 from halin.cli import main
 from halin.recognition import certify
-from reference import reference_certificate
+from reference import halin_graphs, reference_certificate
 
 # sha256 of [sorted outer, cycle_order, colors by vertex id, PEO order,
 # sorted fills] for recognize -> color_halin -> peo_halin on seed 1 in
@@ -78,6 +78,27 @@ def test_case4_output_is_pinned():
         doc.append([trace.case, [colors[v] for v in range(g.n)], [run.center, list(run.run), run.is_fan]])
     assert {is_fan for _, _, (_, _, is_fan) in doc} == {True, False}
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == CASE4_PINNED
+
+
+# Every Halin graph with 3 to 8 leaves from reference.halin_graphs, in
+# its own labelling and then in one random relabelling (seed 19). sha256
+# of [case, colors by vertex id] per graph, in that order.
+ENUMERATED_PINNED = "8f74777f0363226f6b5f8dd80e73323df6246a95567dff93689b02c428854d2a"
+
+
+def test_enumerated_colors_are_pinned():
+    rng = random.Random(19)
+    doc = []
+    for tree_graph, _ in halin_graphs(8):
+        perm = list(range(tree_graph.n))
+        rng.shuffle(perm)
+        relabelled = Graph.from_edges(tree_graph.n, [(perm[u], perm[v]) for u, v in tree_graph.edges()])
+        for g in (tree_graph, relabelled):
+            trace = ColoringTrace()
+            colors = color_halin(g, recognize(g).certificate, trace)
+            doc.append([trace.case, [colors[v] for v in range(g.n)]])
+    assert {case for case, _ in doc} == {1, 2, 3, 4}
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == ENUMERATED_PINNED
 
 
 def _corpus():
