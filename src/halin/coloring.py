@@ -1,22 +1,25 @@
 """Optimal vertex coloring of Halin graphs.
 
 Three colors always suffice except for even wheels, which need four.
-The algorithm 2-colors the inner tree by depth parity and then recolors
-part of the cycle; the recoloring pattern depends on the cycle parity
-and on which tree colors appear on the cycle (four cases). Case 4, an
-odd cycle in one tree color, recolors one odd run of leaves under a
-common parent, picked in one walk of the cycle. It runs on
-the certificate ``check_certificate`` returns: the one ``certify``
-derives from the given certificate's outer set, which must equal it.
-The final coloring is re-checked on every tree and cycle edge of that
-certificate, which are exactly the graph's edges, so a wrong pattern
-fails loudly instead of returning an improper coloring.
+The algorithm 2-colors the inner tree by depth parity and then repairs
+the cycle with one rule: read from an origin, every second cycle vertex
+from position ``start`` on takes C3. The four cases (cycle parity, even
+wheel, tree colors on the cycle) differ only in the origin and the
+start. Case 4, an odd cycle in one tree color, first recolors one odd
+run of leaves under a common parent, picked in one walk of the cycle,
+and gives that parent C3.
+
+The coloring runs on the certificate ``check_certificate`` returns: the
+one ``certify`` derives from the given certificate's outer set, which
+must equal it. The final coloring is re-checked on every tree and cycle
+edge of that certificate, which are exactly the graph's edges, so a
+wrong pattern fails loudly instead of returning an improper coloring.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import chain, cycle, groupby
+from itertools import chain, groupby
 from operator import eq
 
 from .graph import Graph
@@ -37,7 +40,8 @@ class FanRun(namedtuple("FanRun", "center run is_fan")):
 
 
 class ColoringTrace(_Record):
-    """Filled in by color_halin when passed; records which case fired."""
+    """Filled in by color_halin when passed: the case that fired, and the
+    odd run it recolored in case 4 (None in the other cases)."""
 
     def __init__(self, case: int | None = None, odd_run: FanRun | None = None) -> None:
         self.case = case
@@ -78,13 +82,17 @@ def color_halin(
 ) -> dict[int, int]:
     """Proper coloring of g with 3 colors, or 4 iff g is an even wheel.
 
-    Case 1: even cycle - every second cycle vertex takes C3.
-    Case 2: even wheel - rim alternates C2/C3 and closes with one C4.
-    Case 3: odd cycle showing both tree colors - rotate to a C1,C2 pair
-        and recolor every second following vertex with C3.
-    Case 4: odd cycle all one color - recolor an odd fan or pseudo-fan
-        run alternately, give its center C3, and fix the remaining even
-        stretch pairwise against the parent colors.
+    Each case picks the vertex the cycle is read from (origin) and a
+    ``start``; from ``start`` on, every second vertex takes C3.
+
+    Case 1: even cycle - origin 0, start 1.
+    Case 2: even wheel - as case 1; the last rim vertex then takes C4.
+    Case 3: odd cycle showing both tree colors - origin at a C1,C2 pair,
+        start 2.
+    Case 4: odd cycle in one tree color - origin at an odd fan or
+        pseudo-fan run, start two past its end. The run alternates the
+        other tree color and its own, and its center takes C3; the
+        center's other leaves take the other tree color instead of C3.
 
     Raises MalformedCertificateError when ``cert`` is not the certificate
     ``certify`` derives from its outer set on g, or when the result has a
@@ -94,28 +102,38 @@ def color_halin(
     colors = _color_tree(cert)
     cyc = cert.cycle_order
     length = len(cyc)
+    origin, run = 0, None
 
     if length % 2 == 0:
-        case = 1
-        for v in cyc[1::2]:
-            colors[v] = C3
+        case, start = 1, 1
     elif is_even_wheel(g, cert):
-        case = 2
-        for v, c in zip(cyc, cycle((C2, C3))):
-            colors[v] = c
-        colors[cyc[length - 1]] = C4
+        case, start = 2, 1
     elif len(set(map(colors.__getitem__, cyc))) == 2:  # both tree colors on the cycle
-        case = 3
-        _recolor_two_tone_odd_cycle(colors, cyc)
+        case, start = 3, 2
+        origin = next(
+            i for i in range(length) if colors[cyc[i]] == C1 and colors[cyc[(i + 1) % length]] == C2
+        )
     else:
         case = 4
         run = _odd_run(g, cert)
-        _recolor_monochrome_odd_cycle(colors, cert, run)
-        if trace is not None:
-            trace.odd_run = run
+        other = C1 + C2 - colors[cyc[0]]  # the tree color the cycle lacks
+        for i in run.run[::2]:
+            colors[cyc[i]] = other
+        colors[run.center] = C3
+        origin, start = run.run[0], len(run.run) + 1
+
+    ring = cyc[origin:] + cyc[:origin]  # no copy when origin is 0
+    for v in ring[start::2]:
+        colors[v] = C3
+    if case == 2:
+        colors[cyc[-1]] = C4
+    elif case == 4:
+        for w in g.neighbors(run.center):
+            if colors[w] == C3:  # a leaf of the center outside its run
+                colors[w] = other
 
     if trace is not None:
-        trace.case = case
+        trace.case, trace.odd_run = case, run
     _check_proper(cert, colors)
     # Keyed by the certificate's own id objects, root first, as the
     # graph's adjacency sets hold them.
@@ -135,19 +153,6 @@ def _color_tree(cert: HalinCertificate) -> list[int]:
     for v, p in cert.parent.items():
         colors[v] = C1 + C2 - colors[p]  # the other tree color
     return colors
-
-
-def _recolor_two_tone_odd_cycle(colors: list[int], cyc: tuple[int, ...]) -> None:
-    length = len(cyc)
-    anchor = next(
-        i
-        for i in range(length)
-        if colors[cyc[i]] == C1 and colors[cyc[(i + 1) % length]] == C2
-    )
-    seq = cyc[anchor:] + cyc[:anchor]
-    # Keep seq[0], seq[1] (the C1,C2 pair); then C3 every second vertex.
-    for v in seq[2::2]:
-        colors[v] = C3
 
 
 def _odd_run(g: Graph, cert: HalinCertificate) -> FanRun:
@@ -176,27 +181,6 @@ def _odd_run(g: Graph, cert: HalinCertificate) -> FanRun:
             first = first or run
         pos += run_len
     return first
-
-
-def _recolor_monochrome_odd_cycle(
-    colors: list[int], cert: HalinCertificate, run: FanRun
-) -> None:
-    cyc = cert.cycle_order
-    length = len(cyc)
-    tone = colors[cyc[0]]           # the single color on the cycle
-    other = C2 if tone == C1 else C1
-    seq = [cyc[(run.run[0] + j) % length] for j in range(length)]
-    run_len = len(run.run)
-    for j in range(run_len):
-        colors[seq[j]] = other if j % 2 == 0 else tone
-    colors[run.center] = C3
-    # Remaining even stretch, pairwise: keep the first of each pair, and
-    # recolor the second against its parent (C3 under an untouched
-    # parent, the second tree color under the recolored center).
-    for j in range(run_len, length, 2):
-        colors[seq[j]] = tone
-        w = seq[j + 1]
-        colors[w] = C3 if colors[cert.parent[w]] == other else other
 
 
 def _check_proper(cert: HalinCertificate, colors) -> None:

@@ -184,6 +184,24 @@ def test_case4_first_odd_pseudo_fan(three_pseudo_fans_graph):
     assert _proper(g, colors)
 
 
+def test_reused_trace_keeps_no_stale_run():
+    # One trace through a case-4 call and then a call of each other case:
+    # every call sets both fields, and odd_run is None outside case 4.
+    trace = ColoringTrace()
+    for spec, case in (
+        (GenSpec(11, "halin", seed=9), 4),
+        (GenSpec(12, "halin_cubic", seed=1), 3),
+        (GenSpec(11, "halin", seed=9), 4),
+        (GenSpec(6, "wheel"), 2),
+        (GenSpec(11, "halin", seed=9), 4),
+        (GenSpec(5, "wheel"), 1),
+    ):
+        g, outer = generate(spec)
+        color_halin(g, _cert(g, outer), trace)
+        assert trace.case == case, spec
+        assert (trace.odd_run is not None) == (case == 4), spec
+
+
 def test_root_color_is_stable():
     for seed in range(6):
         g, outer = make_halin(GenSpec(20, seed=seed))

@@ -51,19 +51,41 @@ def _relabelled(g, rng):
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def _check_witnesses(g):
+    """Assert what ``halin verify`` checks on the Halin graph g: recognize
+    accepts, the coloring witness and the color count equal the brute-force
+    chromatic number, and the completion has treewidth 3 and is chordal.
+    Returns the completion."""
+    cert = recognize(g).certificate
+    assert cert is not None, sorted(g.edges())
+    chromatic = chromatic_number_bruteforce(g, 5)
+    assert _forced_colors(g, cert) == chromatic, sorted(g.edges())
+    assert len(set(color_halin(g, cert).values())) == chromatic
+    result = peo_halin(g, cert)
+    completion = chordal_completion(g, result)
+    assert treewidth_from_peo(completion, result.order) == 3
+    assert _is_chordal(completion)
+    return completion
+
+
 def test_witnesses_on_every_halin_graph_up_to_8_leaves():
     rng = random.Random(8)
     for tree_graph, _ in halin_graphs(8):
         for g in (tree_graph, _relabelled(tree_graph, rng)):
-            cert = recognize(g).certificate
-            assert cert is not None, sorted(g.edges())
-            chromatic = chromatic_number_bruteforce(g, 5)
-            assert _forced_colors(g, cert) == chromatic, sorted(g.edges())
-            assert len(set(color_halin(g, cert).values())) == chromatic
-            result = peo_halin(g, cert)
-            completion = chordal_completion(g, result)
-            assert treewidth_from_peo(completion, result.order) == 3
-            assert _is_chordal(completion) and is_chordal_bruteforce(completion)
+            assert is_chordal_bruteforce(_check_witnesses(g))
+
+
+def enumerated_agreement(leaves):
+    """The count of Halin graphs per leaf count from 3 to ``leaves``,
+    running ``_check_witnesses`` on each graph with exactly ``leaves``
+    leaves, in its own labelling only. CI also runs 9 leaves:
+    [1, 4, 17, 76, 353, 1688, 8257], in about 2 s."""
+    counts = [0] * (leaves + 1)
+    for g, outer in halin_graphs(leaves):
+        counts[len(outer)] += 1
+        if len(outer) == leaves:
+            _check_witnesses(g)
+    return counts[3:]
 
 
 def test_coloring_witness_is_read_from_the_graph():
