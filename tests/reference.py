@@ -1,24 +1,27 @@
 """Reference implementations the package is compared against.
 
 ``reference_certificate`` builds the canonical certificate of an outer
-set from the two steps below, checking only that the outer set induces
-a cycle and that the other edges form a spanning tree; ``certify``
-must return an equal certificate on every Halin decomposition.
+set from the two steps below and checks conditions (a)-(e) of
+``certify`` one at a time, (e) by the naive ``leaves_form_arcs``; it
+shares no code with ``certify``, which must return an equal certificate
+on every Halin decomposition and None on every other outer set.
 ``is_halin_bruteforce`` is the exhaustive recognizer that ``recognize``
-is compared against, and ``chromatic_number_bruteforce`` and
-``is_chordal_bruteforce`` the exhaustive checks that the witnesses of
-``halin verify`` are compared against. The three are deliberately
-naive and hard-capped at 16 vertices, so that a test can never wander
-into exponential territory by accident. ``halin_graphs`` enumerates
+is compared against. It tries every candidate outer set through
+``reference_certificate``, not through ``certify``, so a false
+acceptance by ``certify`` cannot hide in it.
+``chromatic_number_bruteforce`` and ``is_chordal_bruteforce`` are the
+exhaustive checks that the witnesses of ``halin verify`` are compared
+against. The three are deliberately naive and hard-capped at 16
+vertices, so that a test can never wander into exponential territory
+by accident. ``halin_graphs`` enumerates
 every Halin graph up to a number of leaves, from its plane trees.
 """
 
-from collections import deque
+from collections import Counter, deque
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from halin import Graph, HalinCertificate, MalformedCertificateError
-from halin.recognition import certify
 
 MAX_ORACLE_VERTICES = 16
 MAX_ORACLE_COLORS = 5
@@ -89,28 +92,84 @@ def inner_tree(g: Graph, outer: set[int]) -> tuple[dict[int, int], int]:
     return parent, root
 
 
+def leaves_form_arcs(parent: dict[int, int], root: int, order: list[int]) -> bool:
+    """True iff the leaves below every vertex but ``root`` of the tree
+    ``parent`` form one arc of the cycle ``order``, which lists the leaves.
+
+    Each leaf walks up to the root and adds its cycle position to every
+    vertex on the way, O(n * depth). A set of positions is one arc iff
+    exactly one of them has its predecessor outside the set.
+    """
+    below: dict[int, set[int]] = {}
+    for i, v in enumerate(order):
+        while v != root:
+            v = parent[v]
+            below.setdefault(v, set()).add(i)
+    k = len(order)
+    return all(
+        sum((i - 1) % k not in arc for i in arc) == 1 for v, arc in below.items() if v != root
+    )
+
+
 def reference_certificate(g: Graph, outer: set[int]) -> HalinCertificate:
-    """The certificate of ``outer`` built from the two steps above."""
+    """The certificate of ``outer`` built from the two steps above, once
+    it passes (c) the tree's leaves are exactly the outer vertices, (d) no
+    inner vertex has tree-degree 2, and (e) ``leaves_form_arcs``.
+
+    Raises ValueError (MalformedCertificateError past the first step) on
+    the first condition that fails.
+    """
     order = outer_cycle_order(g, outer)
     parent, root = inner_tree(g, outer)
+    tree_degree = Counter(chain(parent, parent.values()))
+    if {v for v in g.vertices() if tree_degree[v] == 1} != set(outer):
+        raise MalformedCertificateError("the leaves of the tree are not the outer vertices")
+    if any(tree_degree[v] == 2 for v in g.vertices() if v not in outer):
+        raise MalformedCertificateError("an inner vertex has tree-degree 2")
+    if not leaves_form_arcs(parent, root, order):
+        raise MalformedCertificateError("the leaves of some subtree are not one arc of the cycle")
     return HalinCertificate(frozenset(outer), tuple(order), parent, root)
 
 
-def is_halin_bruteforce(g: Graph) -> bool:
-    """True iff some set of vertices is the outer cycle of a Halin
-    decomposition of ``g``.
+def halin_outer_sets(g: Graph):
+    """Every set of vertices that is the outer cycle of a Halin
+    decomposition of ``g``, each once as a frozenset, lazily.
 
     The inner tree has n - 1 edges, so the outer cycle has m - n + 1
-    vertices, each of degree 3; every set of that many degree-3 vertices
-    is tried with ``certify``.
+    vertices, each of degree 3. Every cycle of that length through
+    degree-3 vertices is found as a path from its smallest vertex and
+    tried with ``reference_certificate``.
     """
     if g.n > MAX_ORACLE_VERTICES:
         raise ValueError(f"size guard: brute force capped at n <= {MAX_ORACLE_VERTICES}")
     k = g.num_edges() - g.n + 1
-    if k < 3:
-        return False
-    cubic = sorted(v for v in g.vertices() if g.degree(v) == 3)
-    return any(certify(g, set(outer)) is not None for outer in combinations(cubic, k))
+    cubic = [v for v in g.vertices() if g.degree(v) == 3]
+    seen = set()
+    for s in cubic if k >= 3 else ():
+        paths = [[s]]
+        while paths:
+            path = paths.pop()
+            if len(path) < k:
+                paths += (
+                    [*path, w] for w in g.neighbors(path[-1])
+                    if w > s and g.degree(w) == 3 and w not in path
+                )
+                continue
+            outer = frozenset(path)
+            if outer in seen or not g.has_edge(path[-1], s):
+                continue
+            seen.add(outer)
+            try:
+                reference_certificate(g, outer)
+            except ValueError:
+                continue
+            yield outer
+
+
+def is_halin_bruteforce(g: Graph) -> bool:
+    """True iff some set of vertices is the outer cycle of a Halin
+    decomposition of ``g``: the first of ``halin_outer_sets``."""
+    return next(halin_outer_sets(g), None) is not None
 
 
 def chromatic_number_bruteforce(g: Graph, max_k: int) -> int | None:

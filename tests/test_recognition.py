@@ -24,7 +24,14 @@ from halin.recognition import (
     certify,
     check_certificate,
 )
-from reference import inner_tree, is_halin_bruteforce, outer_cycle_order
+from reference import (
+    halin_graphs,
+    halin_outer_sets,
+    inner_tree,
+    is_halin_bruteforce,
+    outer_cycle_order,
+    reference_certificate,
+)
 
 
 def test_accepts_k4():
@@ -180,9 +187,10 @@ def test_outer_cycle_order_is_deterministic_cycle():
 
 
 def _relabel(g, rng):
+    """g under a random permutation of its ids, and the permutation."""
     perm = list(range(g.n))
     rng.shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+    return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()]), perm
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -194,7 +202,7 @@ def test_round_trip_random(seed):
         n += 1
     g, outer = generate(GenSpec(n, variant, seed=seed))
     # Generator ids follow tree order; a random labelling does not.
-    for graph in (g, _relabel(g, rng)):
+    for graph in (g, _relabel(g, rng)[0]):
         result = recognize(graph)
         assert result.is_halin
         assert verify_halin(graph, set(result.certificate.outer))
@@ -214,7 +222,7 @@ def test_recognize_agrees_with_bruteforce():
         n = rng.randint(6 if variant == "necklace" else 4, 11)
         if variant in ("halin_cubic", "necklace") and n % 2:
             n -= 1
-        g = _relabel(generate(GenSpec(n, variant, seed=seed))[0], rng)
+        g, _ = _relabel(generate(GenSpec(n, variant, seed=seed))[0], rng)
         if seed % 2:  # toggle one vertex pair
             u, v = rng.sample(range(g.n), 2)
             toggled = {(min(u, v), max(u, v))}
@@ -295,6 +303,54 @@ def test_check_certificate_rejects_each_broken_condition():
             check_certificate(g, HalinCertificate(cert.outer, order, par, root))
 
 
+def test_near_misses_agree_with_the_reference_check():
+    # Swapping two leaves 1-3 apart on the cycle of a generator graph
+    # keeps (a)-(d) and breaks (e) unless both subtrees still form arcs.
+    rng = random.Random(21)
+    verdicts = []
+    for seed in range(300):
+        variant = VARIANTS[seed % 4]
+        n = rng.randint(12, 1000 if seed % 10 == 0 else 100)
+        if variant in ("halin_cubic", "necklace"):
+            n += n % 2
+        g, outer = generate(GenSpec(n, variant, seed=seed))
+        cert = reference_certificate(g, outer)
+        tree = list(cert.parent.items())
+        for _ in range(4):
+            order = list(cert.cycle_order)
+            i = rng.randrange(len(order))
+            j = (i + rng.randint(1, 3)) % len(order)
+            order[i], order[j] = order[j], order[i]
+            cycle = zip(order, order[1:] + order[:1])
+            h, perm = _relabel(Graph.from_edges(g.n, [*tree, *cycle]), rng)
+            h_outer = {perm[v] for v in outer}
+            try:
+                reference_certificate(h, h_outer)
+            except ValueError:
+                expected = False
+            else:
+                expected = True
+            assert (certify(h, h_outer) is not None) == expected, (variant, n, seed)
+            assert recognize(h).is_halin == expected, (variant, n, seed)
+            verdicts.append(expected)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+
+
+def test_recognize_is_equivariant_under_relabelling():
+    # Every outer set recognize returns passes the reference check. Under
+    # a relabelling pi, the outer set of pi(g) is pi of the one of g,
+    # unless g has two or more Halin decompositions (all of them cubic).
+    rng = random.Random(21)
+    for g, _ in halin_graphs(8):
+        h, perm = _relabel(g, rng)
+        g_outer = recognize(g).certificate.outer
+        h_outer = recognize(h).certificate.outer
+        reference_certificate(g, g_outer)
+        reference_certificate(h, h_outer)
+        if h_outer != {perm[v] for v in g_outer}:
+            assert len(list(halin_outer_sets(g))) > 1, sorted(g.edges())
+
+
 # exhaustive agreement at small n, and the order of the rejection reasons
 
 
@@ -314,7 +370,7 @@ def _min_degree_3_graphs(n):
 def exhaustive_agreement(n):
     """(Halin, checked) over every labelled graph on n vertices with
     minimum degree >= 3, asserting that recognize agrees with the oracle
-    on each. CI also runs n = 7: (2940, 236926), in about 13 s."""
+    on each. CI also runs n = 7: (2940, 236926), in about 18 s."""
     halin = checked = 0
     for g in _min_degree_3_graphs(n):
         accepted = recognize(g).is_halin
@@ -329,6 +385,27 @@ def test_recognize_agrees_with_bruteforce_on_every_small_graph():
     # (Halin, checked) per n. The labelled Halin graphs are K4; the 15
     # wheels on 5 vertices; on 6, the 72 wheels and the 60 prisms.
     assert counts == {4: (1, 1), 5: (15, 26), 6: (132, 1858)}
+
+
+def enumerated_certificates(leaves):
+    """The count of Halin graphs per leaf count from 3 to ``leaves``,
+    asserting on each graph with exactly ``leaves`` leaves that certify
+    builds the reference certificate of its outer set and that recognize
+    accepts it. CI also runs 10 leaves: [1, 4, 17, 76, 353, 1688, 8257,
+    41128], in about 9 s."""
+    counts = [0] * (leaves + 1)
+    for g, outer in halin_graphs(leaves):
+        counts[len(outer)] += 1
+        if len(outer) == leaves:
+            assert certify(g, outer) == reference_certificate(g, outer), sorted(g.edges())
+            assert recognize(g).is_halin, sorted(g.edges())
+    return counts[3:]
+
+
+def test_certify_and_recognize_on_every_halin_graph_up_to_8_leaves():
+    for leaves in range(3, 8):
+        enumerated_certificates(leaves)
+    assert enumerated_certificates(8) == [1, 4, 17, 76, 353, 1688]
 
 
 def _disjoint_union(*graphs):
