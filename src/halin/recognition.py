@@ -21,7 +21,7 @@ from __future__ import annotations
 import weakref
 from collections import Counter, namedtuple
 from collections.abc import Iterator
-from itertools import compress, filterfalse, islice, repeat
+from itertools import compress, filterfalse, repeat
 from operator import and_
 
 from .graph import Graph, _ids
@@ -148,7 +148,8 @@ def check_certificate(g: Graph, cert: HalinCertificate) -> HalinCertificate:
 
 def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     """The certificate of ``outer`` if it witnesses a Halin decomposition
-    of ``g``, else None; one walk of the cycle and one of the tree.
+    of ``g``, else None; one walk of the cycle, one of the tree, and one
+    tour of the tree in cycle order.
 
     Accepts iff (a) the outer vertices induce a single cycle, (b) removing
     the cycle edges leaves a spanning tree, (c) whose leaves are exactly
@@ -203,23 +204,20 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     # (b) BFS over the non-cycle edges from the smallest inner vertex. An
     # outer vertex has exactly one of those, to the vertex it was reached
     # from, so only inner vertices, whose edges are all non-cycle, are
-    # expanded. top[v] is the child of the root above v. Some vertex is
-    # inner: with all n outer and of degree 3, m - n = n/2 != n - 1.
+    # expanded. Some vertex is inner: with all n outer and of degree 3,
+    # m - n = n/2 != n - 1.
     root = next(filterfalse(outer.__contains__, g.vertices()))
     parent = [-1] * n  # by id, -1 until reached; the map is built at the end
-    top = [0] * n
+    depth = [0] * n
     parent[root] = root
-    for w in adj[root]:
-        parent[w] = root
-        top[w] = w
-    bfs = [root, *adj[root]]
-    inner = list(filterfalse(outer.__contains__, bfs))  # the expanded vertices
-    for v in islice(inner, 1, None):  # also yields the ones appended below
-        t = top[v]
+    bfs = [root]
+    inner = [root]  # the expanded vertices
+    for v in inner:  # also yields the ones appended below
+        d = depth[v] + 1
         for w in adj[v]:
             if parent[w] < 0:
                 parent[w] = v
-                top[w] = t
+                depth[w] = d
                 bfs.append(w)
                 if w not in outer:
                     inner.append(w)
@@ -229,36 +227,21 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     # plain degree.
     if min(map(len, map(adj.__getitem__, inner))) < 3:
         return None
-
-    # (e) Arc-contiguity. Rotate the cycle so it starts at a boundary
-    # between two root subtrees; valid arcs then never wrap, and a leaf
-    # interval is contiguous iff count == max - min + 1. The root has
-    # three or more subtrees, each with a leaf, so a boundary exists.
-    boundary = next(i for i in range(cyc_len) if top[order[i]] != top[order[i - 1]])
-    lo = [cyc_len] * n
-    hi = [-1] * n
-    cnt = [0] * n
-    # Each leaf is the one-position arc j; it goes straight into its
-    # parent's range. j only grows, so the first leaf sets lo.
-    for j, w in enumerate(order[boundary:] + order[:boundary]):
-        p = parent[w]
-        if not cnt[p]:
-            lo[p] = j
-        cnt[p] += 1
-        hi[p] = j
-    # Inner vertices, children before parents: every subtree is complete
-    # when its root is reached. A vertex with no leaf below fails too, as
-    # then hi - lo + 1 = -cyc_len.
-    for v in reversed(inner[1:]):
-        c = cnt[v]
-        if c != hi[v] - lo[v] + 1:
+    # (e) The leaves are now exactly the outer vertices, so every tree
+    # edge splits them into two non-empty sides, and the tour along the
+    # tree paths between consecutive cycle vertices crosses it an even
+    # number of times, two iff each side is an arc. The side below
+    # (v, parent v) is v's subtree: (e) holds iff the tour is 2(n - 1) long.
+    steps = 2 * (n - 1)
+    for u, v in zip(order, order[1:] + order[:1]):
+        while u != v:  # up from the deeper end to the common ancestor
+            if depth[u] < depth[v]:
+                v = parent[v]
+            else:
+                u = parent[u]
+            steps -= 1
+        if steps < 0:
             return None
-        p = parent[v]
-        cnt[p] += c
-        if lo[v] < lo[p]:
-            lo[p] = lo[v]
-        if hi[v] > hi[p]:
-            hi[p] = hi[v]
     below_root = bfs[1:]
     parent_map = _ReadOnlyDict(zip(below_root, map(parent.__getitem__, below_root)))
     cert = HalinCertificate(outer, tuple(order), parent_map, root)
