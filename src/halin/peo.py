@@ -15,6 +15,7 @@ decomposition.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Collection
 from itertools import combinations
 
 from .graph import Graph, _add_edges, _ids
@@ -45,13 +46,21 @@ _new_tuple = tuple.__new__  # builds a TraceStep without its Python-level __new_
 class PeoResult(_Record):
     """Elimination order, fill edges and the trace of reduction steps.
 
+    ``fill_edges`` is a list with each fill once, as (min, max), in the
+    order of ``trace``: one per R1 step, two per R2 step. Most consecutive
+    fills share an end (R1 keeps the cursor, R2 fills both toward t), so
+    ``chordal_completion`` adds them along the cycle, to adjacency sets
+    still in cache, rather than in hash order. ``set(fill_edges)`` gives
+    them as a set. A result built by hand may give any iterable of
+    pairs, a set included.
+
     ``trace`` is read-only and returns a new list of TraceSteps on each
     read; the steps themselves are kept as given, as plain tuples when
     ``peo_halin`` built the result.
     """
 
     def __init__(
-        self, order: list[int], fill_edges: set[tuple[int, int]], trace: list[TraceStep]
+        self, order: list[int], fill_edges: Collection[tuple[int, int]], trace: list[TraceStep]
     ) -> None:
         self.order = order
         self.fill_edges = fill_edges
@@ -68,10 +77,16 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
     Walks the cycle with a cursor over a linked list, applying R1 to the
     first applicable triple from the cursor and R2 to exhausted
     two-vertex fans, until only a K4 remains; its vertices are appended
-    in ascending id order. Raises MalformedCertificateError unless
-    ``cert`` is the certificate ``certify`` derives from its outer set on
-    g, whose cycle and tree edges are exactly the edges of g, so the
-    reduction runs on the certificate alone and never copies the graph.
+    in ascending id order. The fill edges come as a list in the order
+    the rules make them, each once, as (min, max); see ``PeoResult``.
+
+    Raises MalformedCertificateError unless ``cert`` is the certificate
+    ``certify`` derives from its outer set on g, whose cycle and tree
+    edges are exactly the edges of g, so the reduction runs on the
+    certificate alone and never copies the graph. As a self-check, it
+    also raises unless R1 eliminated every cycle vertex but the K4's
+    three and R2 every inner vertex but its one: |C| - 3 and
+    (n - |C|) - 1 steps on the outer cycle C.
     """
     cert = check_certificate(g, cert)
     cyc = cert.cycle_order
@@ -107,11 +122,12 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
     # No fill joins two vertices adjacent in g: R1 joins cycle vertices
     # never consecutive, R2 a cycle vertex and a vertex never its parent.
     order: list[int] = []
-    fills: set[tuple[int, int]] = set()
+    fills: list[tuple[int, int]] = []  # in step order, see PeoResult
     trace: list[tuple] = []  # plain tuples, see TraceStep
     live = n
     cur = cyc[0]
     idle = 0
+    r2_steps = 0
 
     while live > 4:
         q = nxt[cur]
@@ -121,7 +137,7 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
             # R1 on the triple (cur, q, r): eliminate q, fill cur-r.
             trace.append(("R1", q, (cur, q, r, s)))
             order.append(q)
-            fills.add((cur, r) if cur < r else (r, cur))
+            fills.append((cur, r) if cur < r else (r, cur))
             nxt[cur] = r  # q is off the cycle now, never read again
             child_count[s] -= 1
             clen -= 1
@@ -133,11 +149,12 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
             inner_xor[t] ^= s
             trace.append(("R2", s, (cur, q, s, t)))
             order.append(s)
-            fills.add((cur, t) if cur < t else (t, cur))
-            fills.add((q, t) if q < t else (t, q))
+            fills.append((cur, t) if cur < t else (t, cur))
+            fills.append((q, t) if q < t else (t, q))
             par[cur] = t
             par[q] = t
             child_count[t] += 2
+            r2_steps += 1
         else:
             cur = q
             idle += 1
@@ -149,19 +166,29 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
         live -= 1
         idle = 0
 
+    if len(trace) - r2_steps != len(cyc) - 3 or r2_steps != n - len(cyc) - 1:
+        raise MalformedCertificateError(
+            f"elimination took {len(trace) - r2_steps} R1 and {r2_steps} R2 steps "
+            f"on a cycle of {len(cyc)} of {n} vertices"
+        )
     # R1 needs a cycle of four and R2 hands its fan to a live t, so the
     # live vertices are three on the cycle from the cursor and their parent.
     # A vertex listed twice makes a pair (a, a) that no edge or fill joins.
+    # A residue pair may be any fill, the first one included, so the pairs
+    # g lacks are tested against all fills in one pass, not one scan each.
     tail = sorted((cur, nxt[cur], nxt[nxt[cur]], par[cur]))
-    for a, b in combinations(tail, 2):
-        if b not in g._adj[a] and (a, b) not in fills:
-            raise MalformedCertificateError("residue is not a K4")
+    missing = {(a, b) for a, b in combinations(tail, 2) if b not in g._adj[a]}
+    if missing and missing.difference(fills):
+        raise MalformedCertificateError("residue is not a K4")
     order += tail
     return PeoResult(order, fills, trace)
 
 
 def chordal_completion(g: Graph, result: PeoResult) -> Graph:
     """The graph plus the fill edges recorded by peo_halin(g, ...).
+
+    The fills are added in the order ``result`` lists them, which for
+    ``peo_halin``'s list walks along the cycle (see ``PeoResult``).
 
     Raises ValueError, as ``Graph.from_edges`` does, when a fill edge is
     not two distinct int ids of vertices of g; a float, a str, None or a

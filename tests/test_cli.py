@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -461,3 +462,116 @@ def test_errors_cut_the_input_they_repeat(tmp_path, name):
     else:
         proc = _assert_cli_format_error("recognize", "--in", bad)
     assert len(proc.stderr.encode()) < 1024
+
+
+# Hostile documents: seeded mutations of valid graph and certificate
+# documents, each run through every command in process. A certificate's
+# "edges" are its parent entries. Every run must exit 0, 1 or 2, and exit 2
+# with one error line; any other exception fails the test.
+FUZZ_GRAPHS = [("halin", 12, 1), ("halin-cubic", 14, 2), ("wheel", 7, 0), ("wheel", 8, 0),
+               ("necklace", 10, 0)]
+FUZZ_COMMANDS = [
+    ["recognize", "--emit-certificate", "out.json"],
+    ["color"],
+    ["color", "--certificate", "cert.json"],
+    ["peo", "--emit-completion", "out.json"],
+    ["peo", "--certificate", "cert.json"],
+    ["verify", "--mode", "coloring"],
+    ["verify", "--mode", "chordal"],
+    ["verify", "--mode", "peo"],
+]
+WRONG_VALUES = (None, 1.5, True, "1", [[0]])
+
+
+def _edges(doc):
+    if "edges" in doc:
+        return doc["edges"]
+    return [[int(v), p] for v, p in doc["parent"].items()]
+
+
+def _with_edges(doc, edges):
+    if "edges" in doc:
+        return dict(doc, edges=edges)
+    return dict(doc, parent={str(v): p for v, p in edges})
+
+
+def _shift_ids(doc, d):
+    out = {}
+    for key, value in doc.items():
+        if key == "n":
+            out[key] = value
+        elif key == "parent":
+            out[key] = {str(int(v) + d): p + d for v, p in value.items()}
+        elif key == "root":
+            out[key] = value + d
+        else:  # edges, outer, cycle_order
+            out[key] = json.loads(json.dumps(value), parse_int=lambda x: int(x) + d)
+    return out
+
+
+def _slots(obj):
+    """Every (container, key) that holds a value, at any depth."""
+    if not isinstance(obj, (dict, list)):
+        return
+    keys = obj.keys() if isinstance(obj, dict) else range(len(obj))
+    for key in keys:
+        yield obj, key
+        if isinstance(obj[key], (dict, list)):
+            yield from _slots(obj[key])
+
+
+def _mutate(doc, rng):
+    doc = json.loads(json.dumps(doc))
+    edges = _edges(doc)
+    kind = rng.randrange(5)
+    if kind == 0:
+        del edges[rng.randrange(len(edges))]
+    elif kind == 1:
+        n = len(edges) + 2
+        edges.append([rng.randrange(n), rng.randrange(n)])
+    elif kind == 2:
+        return _shift_ids(doc, rng.choice((-1, 1)))
+    elif kind == 3:
+        i, j = rng.sample(range(len(edges)), 2)
+        edges[i][1], edges[j][1] = edges[j][1], edges[i][1]
+    else:
+        # A whole field or one value inside it, so every field is hit often.
+        field = rng.choice(sorted(doc))
+        inner = [] if rng.randrange(2) else list(_slots(doc[field]))
+        container, key = rng.choice(inner) if inner else (doc, field)
+        container[key] = rng.choice(WRONG_VALUES)
+        return doc
+    return _with_edges(doc, edges)
+
+
+def _hostile_documents(good, rng, rotate):
+    """Each field of either document replaced whole by a wrong type, each
+    wrong type once per field over five rotations; then 25 documents with
+    one random mutation of either document."""
+    fields = [(name, field) for name in sorted(good) for field in sorted(good[name])]
+    for i, (name, field) in enumerate(fields):
+        wrong = WRONG_VALUES[(i + rotate) % len(WRONG_VALUES)]
+        yield dict(good, **{name: dict(good[name], **{field: wrong})})
+    for _ in range(25):
+        target = rng.choice(sorted(good))
+        yield dict(good, **{target: _mutate(good[target], rng)})
+
+
+def test_hostile_documents_exit_0_1_or_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(2024)
+    for rotate, (variant, n, seed) in enumerate(FUZZ_GRAPHS):
+        spec = ["--variant", variant, "--n", str(n), "--seed", str(seed)]
+        assert main(["generate", *spec, "--out", "g.json"]) == 0
+        assert main(["recognize", "--in", "g.json", "--emit-certificate", "cert.json"]) == 0
+        capsys.readouterr()
+        good = {name: json.loads((tmp_path / name).read_text()) for name in ("g.json", "cert.json")}
+        for docs in _hostile_documents(good, rng, rotate):
+            for name, doc in docs.items():
+                (tmp_path / name).write_text(json.dumps(doc))
+            for command in FUZZ_COMMANDS:
+                code = main([command[0], "--in", "g.json", *command[1:]])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (command, docs)
+                if code == 2:
+                    assert err.startswith("error: ") and err.count("\n") == 1, (command, err)

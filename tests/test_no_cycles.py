@@ -111,10 +111,13 @@ def test_a_result_built_from_trace_steps_works_like_one_peo_halin_built():
     g, outer = generate(GenSpec(500, "halin", seed=3))
     made = peo_halin(g, certificate_from_outer(g, outer))
     steps = [TraceStep(*step) for step in made.trace]
-    hand = PeoResult(list(made.order), set(made.fill_edges), steps)
+    hand = PeoResult(list(made.order), list(made.fill_edges), steps)
     assert hand == made and made == hand
     assert repr(hand) == repr(made)
     assert hand.trace == steps and all(type(step) is TraceStep for step in hand.trace)
     assert list(chordal_completion(g, hand).edges()) == list(chordal_completion(g, made).edges())
+    # Fills given as a set make the same completion, added in another order.
+    as_set = PeoResult(list(made.order), set(made.fill_edges), steps)
+    assert set(chordal_completion(g, as_set).edges()) == set(chordal_completion(g, made).edges())
     for clone in (pickle.loads(pickle.dumps(hand)), copy.copy(hand), copy.deepcopy(hand)):
         assert clone == made and clone.trace == steps

@@ -154,7 +154,7 @@ RECORDS = {
     ),
     "PeoResult": (
         _wheel_peo,
-        "PeoResult(order=[1, 0, 2, 3, 4], fill_edges={(0, 2)}, "
+        "PeoResult(order=[1, 0, 2, 3, 4], fill_edges=[(0, 2)], "
         "trace=[TraceStep(rule='R1', eliminated=1, clique=(0, 1, 2, 4))])",
         "order", False, None,
     ),

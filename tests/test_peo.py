@@ -31,7 +31,7 @@ def test_k4_no_fills():
     g, outer = make_wheel(4)
     result = _run(g, outer)
     assert result.order == [0, 1, 2, 3]
-    assert result.fill_edges == set()
+    assert result.fill_edges == []
     assert result.trace == []
 
 
@@ -41,7 +41,7 @@ def test_w5_single_r1():
     g, outer = make_wheel(5)
     result = _run(g, outer)
     assert result.order == [1, 0, 2, 3, 4]
-    assert result.fill_edges == {(0, 2)}
+    assert result.fill_edges == [(0, 2)]
     assert len(result.trace) == 1
     assert result.trace[0].rule == "R1"
     assert result.trace[0].eliminated == 1
@@ -118,19 +118,36 @@ def test_random_graphs_full_pipeline(seed):
     )
 
 
+def _assert_trace_replays(result):
+    """The trace gives the order and, step by step, the fill list itself:
+    R1's clique (p, q, r, s) fills pr; R2's (p, r, s, t) fills pt, rt."""
+    eliminated = []
+    fills = []
+    for rule, v, (a, b, c, d) in result.trace:
+        eliminated.append(v)
+        pairs = [(a, c)] if rule == "R1" else [(a, d), (b, d)]
+        fills += [tuple(sorted(e)) for e in pairs]
+    assert eliminated == result.order[:-4]
+    assert fills == result.fill_edges
+    assert len(set(result.fill_edges)) == len(result.fill_edges)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_trace_replay_reproduces_result(seed):
     g, outer = make_halin(GenSpec(10 + 13 * seed, seed=seed))
-    result = _run(g, outer)
-    eliminated = []
-    fills = set()
-    for rule, v, (a, b, c, d) in result.trace:
-        eliminated.append(v)
-        # R1's clique (p, q, r, s) fills pr; R2's (p, r, s, t) fills pt, rt.
-        pairs = [(a, c)] if rule == "R1" else [(a, d), (b, d)]
-        fills.update(tuple(sorted(e)) for e in pairs)
-    assert eliminated == result.order[:-4]
-    assert fills == result.fill_edges
+    _assert_trace_replays(_run(g, outer))
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["generator", "relabelled"])
+@pytest.mark.parametrize("variant", ["halin", "halin_cubic", "wheel", "necklace"])
+def test_trace_replay_on_every_variant(variant, relabel):
+    g, outer = generate(GenSpec(300, variant, seed=5))
+    if relabel:
+        perm = list(range(g.n))
+        random.Random(5).shuffle(perm)
+        g = Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+        outer = {perm[v] for v in outer}
+    _assert_trace_replays(_run(g, outer))
 
 
 def _residue_cases():

@@ -54,14 +54,19 @@ def _relabelled(g, rng):
 def _check_witnesses(g):
     """Assert what ``halin verify`` checks on the Halin graph g: recognize
     accepts, the coloring witness and the color count equal the brute-force
-    chromatic number, and the completion has treewidth 3 and is chordal.
-    Returns the completion."""
+    chromatic number, the elimination took |C| - 3 R1 and (n - |C|) - 1 R2
+    steps on the outer cycle C, and the completion has treewidth 3 and is
+    chordal. Returns the completion."""
     cert = recognize(g).certificate
     assert cert is not None, sorted(g.edges())
     chromatic = chromatic_number_bruteforce(g, 5)
     assert _forced_colors(g, cert) == chromatic, sorted(g.edges())
     assert len(set(color_halin(g, cert).values())) == chromatic
     result = peo_halin(g, cert)
+    # R1 eliminates every cycle vertex but three, R2 every inner one but one.
+    r2_steps = sum(step.rule == "R2" for step in result.trace)
+    assert len(result.trace) - r2_steps == len(cert.outer) - 3
+    assert r2_steps == g.n - len(cert.outer) - 1
     completion = chordal_completion(g, result)
     assert treewidth_from_peo(completion, result.order) == 3
     assert _is_chordal(completion)
