@@ -18,7 +18,7 @@ wrong pattern fails loudly instead of returning an improper coloring.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import chain, groupby
 from operator import eq
 
@@ -162,20 +162,20 @@ def _odd_run(g: Graph, cert: HalinCertificate) -> FanRun:
     Runs are counted from the first change of parent, which every odd
     cycle but an even wheel's has; an odd cycle's run lengths sum to an
     odd number, so some run is odd. Every edge of an inner vertex is a
-    tree edge, so a center's inner tree neighbors number its degree less
-    its leaf children.
+    tree edge, and a center with one inner tree neighbor has all its
+    leaves in one arc, the run: so it is a true fan iff its degree is the
+    run's length plus one.
     """
     cyc = cert.cycle_order
     length = len(cyc)
     pars = [cert.parent[w] for w in cyc]
     pos = next(i for i in range(length) if pars[i] != pars[i - 1])
-    leaves = Counter(pars)
     first = None
     for center, members in groupby(pars[pos:] + pars[:pos]):
         run_len = len(list(members))
         if run_len % 2:
             positions = tuple((pos + t) % length for t in range(run_len))
-            run = FanRun(center, positions, g.degree(center) - leaves[center] == 1)
+            run = FanRun(center, positions, g.degree(center) == run_len + 1)
             if run.is_fan:
                 return run
             first = first or run

@@ -11,8 +11,6 @@ passes one check, ``_add_edges``.
 
 from __future__ import annotations
 
-import weakref
-from collections import deque
 from collections.abc import Collection, Iterable, Iterator
 
 
@@ -62,11 +60,6 @@ class Graph:
             raise ValueError("vertex count must be a non-negative int")
         # The package's hot loops read _adj directly, without id checks.
         self._adj: list[set[int]] = [set() for _ in range(n)]
-        # A weak reference to the one certificate ``certify`` last built
-        # for this graph, or None; as the graph never changes, that
-        # certificate describes it for good. A weak reference keeps no
-        # certificate alive.
-        self._certified: weakref.ref | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -122,21 +115,18 @@ class Graph:
 
         Vacuously true for fewer than two vertices.
         """
-        if not self._adj:
+        adj = self._adj
+        if not adj:
             return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in self._adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(self._adj)
-
-    def __getstate__(self) -> dict:
-        # A weak reference cannot be pickled; the copy starts unchecked.
-        return dict(self.__dict__, _certified=None)
+        seen = [False] * len(adj)
+        seen[0] = True
+        reached = [0]
+        for v in reached:  # also yields the ones appended below
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    reached.append(w)
+        return len(reached) == len(adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges()})"

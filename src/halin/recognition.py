@@ -14,6 +14,12 @@ degree 3, so ``recognize`` tests those only before it rejects.
 Every certificate is derived from its outer set: ``certificate_from_outer``
 is ``certify`` that raises, and ``check_certificate`` is ``certify`` on
 the certificate's outer set plus an equality test.
+
+``_built`` maps each graph, by identity, to a weak reference to the
+certificate ``certify`` last built for it, and ``check_certificate``
+passes that very object unchecked: the graph and the certificate are
+immutable, and only the builder writes the record. A pickled or copied
+graph starts unchecked; an entry goes with its graph.
 """
 
 from __future__ import annotations
@@ -107,12 +113,15 @@ class RecognitionResult(namedtuple("RecognitionResult", "certificate reason")):
         return self.certificate is not None
 
 
+_built: weakref.WeakKeyDictionary[Graph, weakref.ref] = weakref.WeakKeyDictionary()
+
+
 def certificate_from_outer(g: Graph, outer: set[int]) -> HalinCertificate:
     """The certificate ``certify`` builds for ``outer`` on ``g``.
 
     Raises MalformedCertificateError on any outer set that fails
     conditions (a)-(e) of ``certify``. Like every certificate ``certify``
-    builds, the result is recorded on ``g``, so ``check_certificate``
+    builds, the result is recorded for ``g``, so ``check_certificate``
     passes it without a second check.
     """
     cert = certify(g, outer)
@@ -129,13 +138,12 @@ def check_certificate(g: Graph, cert: HalinCertificate) -> HalinCertificate:
     or naming the first field of ``cert`` that differs from the one
     derived from its outer set. Callers go on with the returned object.
 
-    Returns ``cert`` at once, without checking, when it is the very
-    object ``certify`` last built for ``g``. Both are immutable (a graph
-    never changes once built; a certificate refuses assignment to its
-    fields, and its parent map refuses writes), so it still describes g.
-    An equal certificate built any other way is checked in full.
+    Returns ``cert`` at once, without checking, when ``_built`` records
+    it as the very object ``certify`` last built for ``g``. An equal
+    certificate built any other way is checked in full.
     """
-    if g._certified is not None and g._certified() is cert:
+    ref = _built.get(g)
+    if ref is not None and ref() is cert:
         return cert
     built = certificate_from_outer(g, cert.outer)
     for name in ("outer", "root", "cycle_order", "parent"):
@@ -245,7 +253,7 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     below_root = bfs[1:]
     parent_map = _ReadOnlyDict(zip(below_root, map(parent.__getitem__, below_root)))
     cert = HalinCertificate(outer, tuple(order), parent_map, root)
-    g._certified = weakref.ref(cert)
+    _built[g] = weakref.ref(cert)
     return cert
 
 

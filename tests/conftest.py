@@ -94,3 +94,22 @@ def three_pseudo_fans_graph() -> tuple[Graph, set[int]]:
     children[17] = [21, 22]
     children[18] = [19, 20]
     return build_halin(children)
+
+
+@pytest.fixture
+def centre_leaf_graph() -> tuple[Graph, set[int]]:
+    """23 vertices, 13 leaves: case 4 recolors the lone leaf 1 under the
+    root, whose other leaf, 3, lies 8 places on and must take the other
+    tree color in place of C3."""
+    children: list[list[int]] = [[] for _ in range(23)]
+    children[0] = [1, 2, 3, 4]
+    children[2] = [5, 6]
+    children[4] = [7, 8]
+    children[5] = [9, 10]
+    children[10] = [11, 12]
+    children[6] = [13, 14]
+    children[7] = [15, 16]
+    children[8] = [17, 18]
+    children[11] = [19, 20]
+    children[12] = [21, 22]
+    return build_halin(children)

@@ -8,6 +8,7 @@ import weakref
 
 import pytest
 
+import halin.recognition as recognition
 from halin import (
     GenSpec,
     Graph,
@@ -81,9 +82,9 @@ def test_equal_certificate_is_checked_in_full():
 
 def test_fresh_and_copied_graphs_record_nothing():
     g, cert = _certified()
-    assert g._certified() is cert
+    assert recognition._built[g]() is cert
     h, _ = generate(GenSpec(30, "halin", seed=2))
-    assert h._certified is None
+    assert h not in recognition._built
 
 
 def test_parent_map_is_read_only():
@@ -131,9 +132,36 @@ def test_certificate_pickles_and_copies_equal():
 def test_certified_graph_pickles_without_its_record():
     g, cert = _certified()
     h = pickle.loads(pickle.dumps(g))
-    assert h._certified is None
+    assert h not in recognition._built
     assert sorted(h.edges()) == sorted(g.edges())
     assert color_halin(h, cert) == color_halin(g, cert)
+
+
+def test_only_the_certificate_certify_built_skips_the_check(monkeypatch):
+    g, cert = _certified()
+    calls = []
+    certify = recognition.certify
+
+    def counted_certify(g, outer):
+        calls.append(g)
+        return certify(g, outer)
+
+    monkeypatch.setattr(recognition, "certify", counted_certify)
+    color_halin(g, cert)
+    peo_halin(g, cert)
+    assert calls == []
+    # A pickled copy is a new graph: the first check is in full, and
+    # records the certificate it returns, which then skips the check.
+    h = pickle.loads(pickle.dumps(g))
+    checked = check_certificate(h, cert)
+    assert calls == [h] and checked == cert
+    color_halin(h, checked)
+    peo_halin(h, checked)
+    assert calls == [h]
+    # cert itself was not built for h, so each use of it checks in full.
+    color_halin(h, cert)
+    peo_halin(h, cert)
+    assert calls == [h, h, h]
 
 
 def test_neighbors_cannot_change_the_graph():

@@ -20,6 +20,7 @@ from halin import (
     make_halin,
     make_necklace,
     make_wheel,
+    recognize,
 )
 from halin.coloring import _check_proper, _color_tree, _odd_run
 from halin.recognition import HalinCertificate, check_certificate
@@ -182,6 +183,23 @@ def test_case4_first_odd_pseudo_fan(three_pseudo_fans_graph):
     assert trace.case == 4
     assert trace.odd_run == FanRun(5, (2,), False)
     assert _proper(g, colors)
+
+
+def test_case4_centre_leaf_outside_its_run(centre_leaf_graph):
+    # The cycle's C3 pattern reaches the root's other leaf, 3, which the
+    # root, now C3, forbids: the rule gives it the other tree color. No
+    # Halin graph with up to 10 leaves reaches this rule.
+    g, outer = centre_leaf_graph
+    cert = recognize(g).certificate
+    assert cert.outer == outer
+    trace = ColoringTrace()
+    colors = color_halin(g, cert, trace)
+    assert trace.case == 4
+    assert trace.odd_run == FanRun(0, (0,), False)
+    assert cert.cycle_order.index(3) == 8
+    assert colors[0] == C3 and colors[3] == C1
+    assert _proper(g, colors)
+    assert set(colors.values()) == {C1, C2, C3}
 
 
 def test_reused_trace_keeps_no_stale_run():

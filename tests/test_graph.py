@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from enum import IntEnum
 
@@ -75,6 +77,17 @@ def test_public_surface_is_read_only():
         "n", "from_edges", "has_vertex", "has_edge", "degree", "neighbors",
         "vertices", "edges", "num_edges", "is_connected",
     }
+
+
+def test_graph_holds_only_its_edges():
+    # No record of a certificate lives on the graph, so it pickles and
+    # copies by the default protocol, to a new graph with its edges.
+    g = Graph.from_edges(4, [(0, 1)])
+    assert list(vars(g)) == ["_adj"]
+    assert "__getstate__" not in vars(Graph)
+    for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert clone is not g and list(vars(clone)) == ["_adj"]
+        assert sorted(clone.edges()) == [(0, 1)] and clone.n == 4
 
 
 def test_complete_graph_degrees():
