@@ -196,6 +196,39 @@ def test_malformed_certificate_rejected():
         peo_halin(g, truncated)
 
 
+
+def _forged(monkeypatch, g, cert):
+    """peo_halin on cert past a check_certificate that returns it as is,
+    so that the loop's own self-checks are the only ones left."""
+    monkeypatch.setattr("halin.peo.check_certificate", lambda g, cert: cert)
+    return peo_halin(g, cert)
+
+
+def test_self_check_stall(monkeypatch):
+    g, outer = make_necklace(3)
+    cert = certificate_from_outer(g, outer)
+    forged = HalinCertificate(cert.outer, cert.cycle_order, {**cert.parent, 1: 2}, cert.root)
+    with pytest.raises(MalformedCertificateError, match="^reduction stalled"):
+        _forged(monkeypatch, g, forged)
+
+
+def test_self_check_residue(monkeypatch):
+    g, outer = make_wheel(6)
+    cert = certificate_from_outer(g, outer)
+    assert cert.cycle_order == (0, 1, 2, 3, 4)
+    forged = HalinCertificate(cert.outer, (1, 0, 2, 3, 4), cert.parent, cert.root)
+    with pytest.raises(MalformedCertificateError, match="^residue is not a K4$"):
+        _forged(monkeypatch, g, forged)
+
+
+def test_self_check_triangle_is_no_k4(monkeypatch):
+    # The loop never runs on three vertices; the cycle from the cursor
+    # closes in three steps, but the residue has no fourth vertex.
+    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    forged = HalinCertificate(frozenset({0, 1, 2}), (0, 1, 2), {0: 1, 1: 2, 2: 0}, 0)
+    with pytest.raises(MalformedCertificateError, match="^residue is not a K4$"):
+        _forged(monkeypatch, g, forged)
+
 def test_peo_does_not_mutate_input():
     g, outer = make_halin(GenSpec(30, seed=9))
     before = sorted(g.edges())

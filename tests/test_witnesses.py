@@ -14,6 +14,7 @@ from halin import (
     Graph,
     chordal_completion,
     color_halin,
+    make_necklace,
     make_wheel,
     peo_halin,
     recognize,
@@ -21,6 +22,7 @@ from halin import (
 )
 from halin.coloring import _forced_colors
 from halin.peo import _is_chordal
+from halin.recognition import HalinCertificate
 from reference import (
     chromatic_number_bruteforce,
     halin_graphs,
@@ -100,3 +102,13 @@ def test_coloring_witness_is_read_from_the_graph():
         cert = recognize(g).certificate
         assert _forced_colors(g, cert) == (4 if n % 2 == 0 else 3)
         assert _forced_colors(Graph(n), cert) is None
+
+
+def test_coloring_witness_needs_a_shared_parent():
+    # A forged parent map in which no two consecutive cycle vertices share
+    # a parent: there is no triangle to read.
+    g, _ = make_necklace(3)
+    cert = recognize(g).certificate
+    forged = HalinCertificate(cert.outer, cert.cycle_order, {**cert.parent, 6: 0, 7: 1}, cert.root)
+    assert [forged.parent[v] for v in forged.cycle_order] == [0, 1, 2, 0, 1]
+    assert _forced_colors(g, forged) is None
