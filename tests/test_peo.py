@@ -196,7 +196,6 @@ def test_malformed_certificate_rejected():
         peo_halin(g, truncated)
 
 
-
 def _forged(monkeypatch, g, cert):
     """peo_halin on cert past a check_certificate that returns it as is,
     so that the loop's own self-checks are the only ones left."""
@@ -222,12 +221,14 @@ def test_self_check_residue(monkeypatch):
 
 
 def test_self_check_triangle_is_no_k4(monkeypatch):
-    # The loop never runs on three vertices; the cycle from the cursor
-    # closes in three steps, but the residue has no fourth vertex.
+    # The loop never runs on three vertices. The cycle from the cursor
+    # closes in three steps, but the residue lists vertex 1 twice: as a
+    # cycle vertex and as the cursor's parent.
     g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     forged = HalinCertificate(frozenset({0, 1, 2}), (0, 1, 2), {0: 1, 1: 2, 2: 0}, 0)
     with pytest.raises(MalformedCertificateError, match="^residue is not a K4$"):
         _forged(monkeypatch, g, forged)
+
 
 def test_peo_does_not_mutate_input():
     g, outer = make_halin(GenSpec(30, seed=9))
