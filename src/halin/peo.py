@@ -86,10 +86,8 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
     certificate alone and never copies the graph. That check is the
     validator: the loop's own two self-checks, a stall and a residue
     that is not a K4, catch faults of the loop, not of a certificate.
-    The residue check also proves the step counts: each step removes one
-    live vertex and only R1 shortens the cycle, so with the cycle left a
-    triangle R1 took |C| - 3 steps and R2 (n - |C|) - 1 on the outer
-    cycle C.
+    A K4 residue, three cycle vertices and their parent, also proves
+    that R1 took |C| - 3 steps and R2 (n - |C|) - 1 on the outer cycle C.
     """
     cert = check_certificate(g, cert)
     cyc = cert.cycle_order
