@@ -25,10 +25,10 @@ graph starts unchecked; an entry goes with its graph.
 from __future__ import annotations
 
 import weakref
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator
 from itertools import compress, filterfalse, repeat
-from operator import and_
+from operator import ne
 
 from .graph import Graph, _ids
 
@@ -293,7 +293,7 @@ def recognize(g: Graph) -> RecognitionResult:
             hubs = []
         # Every Halin outer cycle has m - n + 1 vertices.
         size = g.num_edges() - n + 1
-        for outer in _rims(residue, hubs, trace, n, size):
+        for outer in _rims(hubs, trace, n, size):
             cert = certify(g, outer)
             if cert is not None:
                 return RecognitionResult(cert, None)
@@ -391,35 +391,30 @@ def _reduce(src: list[set[int]]) -> tuple[list[set[int]], list[tuple[int, ...]]]
 
 
 def _rims(
-    residue: list[int], hubs: list[int], trace: list[tuple[int, ...]], n: int, size: int
+    hubs: list[int], trace: list[tuple[int, ...]], n: int, size: int
 ) -> Iterator[frozenset[int]]:
     """The rim of the residue around each hub in turn, with the rules of
     ``trace`` undone, last first; only rims of ``size`` vertices.
 
-    One pass over the trace serves every hub: bit i of ``mask[v]`` says
-    that v is on the rim around hub i.
+    One pass over the trace serves every hub: v is on the rim around the
+    i-th hub, counting from 1, unless ``label[v]`` is i.
     """
     if not hubs:
         return
-    full = (1 << len(hubs)) - 1
-    mask = [0] * n
-    for v in residue:
-        mask[v] = full
-    for i, hub in enumerate(hubs):
-        mask[hub] = full ^ (1 << i)
+    label = [0] * n
+    for i, hub in enumerate(hubs, 1):
+        label[hub] = i
     for step in reversed(trace):
         if len(step) == 2:
             x, y = step
-            mask[y] = mask[x]  # y was a leaf exactly where x is one
+            label[y] = label[x]  # y was a leaf exactly where x is one
         else:
             # Each of x, y, v is a leaf exactly when its outside neighbour
             # is on the rim; the centre's is its parent, an inner vertex.
             x, y, v, x_out, y_out, v_out = step
-            mask[x] = mask[x_out]
-            mask[y] = mask[y_out]
-            mask[v] = mask[v_out]
-    counts = Counter(mask)
-    for i in range(len(hubs)):
-        bit = 1 << i
-        if sum(c for m, c in counts.items() if m & bit) == size:
-            yield frozenset(compress(range(n), map(and_, mask, repeat(bit))))
+            label[x] = label[x_out]
+            label[y] = label[y_out]
+            label[v] = label[v_out]
+    for i in range(1, len(hubs) + 1):
+        if n - label.count(i) == size:
+            yield frozenset(compress(range(n), map(ne, label, repeat(i))))

@@ -15,6 +15,9 @@ against. The three are deliberately naive and hard-capped at 16
 vertices, so that a test can never wander into exponential territory
 by accident. ``halin_graphs`` enumerates
 every Halin graph up to a number of leaves, from its plane trees.
+``reference_rims`` undoes a reduction trace around one hub at a time,
+for the rims that ``recognition._rims`` recovers around all at once.
+``relabel`` renames the vertices of a graph at random.
 """
 
 from collections import Counter, deque
@@ -129,6 +132,40 @@ def reference_certificate(g: Graph, outer: set[int]) -> HalinCertificate:
     if not leaves_form_arcs(parent, root, order):
         raise MalformedCertificateError("the leaves of some subtree are not one arc of the cycle")
     return HalinCertificate(frozenset(outer), tuple(order), parent, root)
+
+
+def reference_rims(n: int, trace: list[tuple[int, ...]], hubs: list[int]) -> list[frozenset[int]]:
+    """The rim around each of ``hubs`` in turn, with the rules of
+    ``trace`` undone, last first, on n vertices.
+
+    The rules deleted the second vertex of every step and the third of
+    every triangle, and left the others live. Around each hub the undo
+    starts on a list of booleans, true for the live vertices but the hub.
+    Undoing a merge (x, y) puts y on the rim exactly when x is; undoing a
+    triangle puts each of x, y and v on it exactly when its outside
+    neighbour x', y' or v' is.
+    """
+    deleted = {step[1] for step in trace} | {step[2] for step in trace if len(step) == 6}
+    rims = []
+    for hub in hubs:
+        on_rim = [v not in deleted and v != hub for v in range(n)]
+        for step in reversed(trace):
+            if len(step) == 2:
+                x, y = step
+                on_rim[y] = on_rim[x]
+            else:
+                x, y, v, x_out, y_out, v_out = step
+                on_rim[x], on_rim[y], on_rim[v] = on_rim[x_out], on_rim[y_out], on_rim[v_out]
+        rims.append(frozenset(v for v in range(n) if on_rim[v]))
+    return rims
+
+
+def relabel(g: Graph, rng) -> tuple[Graph, list[int]]:
+    """g with each vertex v renamed perm[v], for a permutation ``perm``
+    shuffled by ``rng``, and that permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()]), perm
 
 
 def halin_outer_sets(g: Graph):

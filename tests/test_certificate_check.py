@@ -20,6 +20,7 @@ from halin import (
 )
 from halin.generators import VARIANTS
 from halin.recognition import HalinCertificate, certify, check_certificate
+from reference import relabel
 
 
 def test_subdivided_spoke_has_no_certificate():
@@ -62,13 +63,6 @@ def test_outer_ids_that_are_not_ints_certify_nothing(name):
             call(g, cert)
 
 
-def _relabel(g, outer, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    relabelled = Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
-    return relabelled, {perm[v] for v in outer}
-
-
 def _certificates():
     """About 200 certificates: every variant at 25 sizes, in generator
     labelling and under one random relabelling each."""
@@ -77,8 +71,8 @@ def _certificates():
         for n in range(6, 56, 2):
             g, outer = generate(GenSpec(n, variant, seed=n))
             yield g, certify(g, outer)
-            h, h_outer = _relabel(g, outer, rng)
-            yield h, certify(h, h_outer)
+            h, perm = relabel(g, rng)
+            yield h, certify(h, {perm[v] for v in outer})
 
 
 def _tampered(g, cert, rng):

@@ -11,7 +11,6 @@ import pytest
 from halin import (
     ColoringTrace,
     GenSpec,
-    Graph,
     color_halin,
     generate,
     peo_halin,
@@ -20,7 +19,7 @@ from halin import (
 )
 from halin.cli import main
 from halin.recognition import certify
-from reference import halin_graphs, reference_certificate
+from reference import halin_graphs, reference_certificate, relabel
 
 # sha256 of [sorted outer, cycle_order, colors by vertex id, PEO order,
 # sorted fills] for recognize -> color_halin -> peo_halin on seed 1 in
@@ -90,10 +89,7 @@ def test_enumerated_colors_are_pinned():
     rng = random.Random(19)
     doc = []
     for tree_graph, _ in halin_graphs(8):
-        perm = list(range(tree_graph.n))
-        rng.shuffle(perm)
-        relabelled = Graph.from_edges(tree_graph.n, [(perm[u], perm[v]) for u, v in tree_graph.edges()])
-        for g in (tree_graph, relabelled):
+        for g in (tree_graph, relabel(tree_graph, rng)[0]):
             trace = ColoringTrace()
             colors = color_halin(g, recognize(g).certificate, trace)
             doc.append([trace.case, [colors[v] for v in range(g.n)]])
@@ -114,9 +110,7 @@ def _corpus():
         for n in sizes:
             g, outer = generate(GenSpec(n, variant, seed=n))
             yield g, outer
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            relabelled = Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+            relabelled, perm = relabel(g, rng)
             yield relabelled, {perm[v] for v in outer}
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import halin.recognition as recognition
 from halin import (
     GenSpec,
     Graph,
@@ -31,6 +32,8 @@ from reference import (
     is_halin_bruteforce,
     outer_cycle_order,
     reference_certificate,
+    reference_rims,
+    relabel,
 )
 
 
@@ -186,13 +189,6 @@ def test_outer_cycle_order_is_deterministic_cycle():
 # round trips and mutations
 
 
-def _relabel(g, rng):
-    """g under a random permutation of its ids, and the permutation."""
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()]), perm
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_round_trip_random(seed):
     rng = random.Random(seed)
@@ -202,7 +198,7 @@ def test_round_trip_random(seed):
         n += 1
     g, outer = generate(GenSpec(n, variant, seed=seed))
     # Generator ids follow tree order; a random labelling does not.
-    for graph in (g, _relabel(g, rng)[0]):
+    for graph in (g, relabel(g, rng)[0]):
         result = recognize(graph)
         assert result.is_halin
         assert verify_halin(graph, set(result.certificate.outer))
@@ -222,7 +218,7 @@ def test_recognize_agrees_with_bruteforce():
         n = rng.randint(6 if variant == "necklace" else 4, 11)
         if variant in ("halin_cubic", "necklace") and n % 2:
             n -= 1
-        g, _ = _relabel(generate(GenSpec(n, variant, seed=seed))[0], rng)
+        g, _ = relabel(generate(GenSpec(n, variant, seed=seed))[0], rng)
         if seed % 2:  # toggle one vertex pair
             u, v = rng.sample(range(g.n), 2)
             toggled = {(min(u, v), max(u, v))}
@@ -322,7 +318,7 @@ def test_near_misses_agree_with_the_reference_check():
             j = (i + rng.randint(1, 3)) % len(order)
             order[i], order[j] = order[j], order[i]
             cycle = zip(order, order[1:] + order[:1])
-            h, perm = _relabel(Graph.from_edges(g.n, [*tree, *cycle]), rng)
+            h, perm = relabel(Graph.from_edges(g.n, [*tree, *cycle]), rng)
             h_outer = {perm[v] for v in outer}
             try:
                 reference_certificate(h, h_outer)
@@ -342,13 +338,65 @@ def test_recognize_is_equivariant_under_relabelling():
     # unless g has two or more Halin decompositions (all of them cubic).
     rng = random.Random(21)
     for g, _ in halin_graphs(8):
-        h, perm = _relabel(g, rng)
+        h, perm = relabel(g, rng)
         g_outer = recognize(g).certificate.outer
         h_outer = recognize(h).certificate.outer
         reference_certificate(g, g_outer)
         reference_certificate(h, h_outer)
         if h_outer != {perm[v] for v in g_outer}:
             assert len(list(halin_outer_sets(g))) > 1, sorted(g.edges())
+
+
+# every candidate rim against the reference
+
+
+def _check_rims(graphs):
+    """(graphs, rims): recognize runs on each of ``graphs`` with
+    ``_rims`` recorded. Every recorded call must yield exactly the
+    ``reference_rims`` of its size, in hub order, and each reference rim
+    r must be among the rims it yields for size len(r); rims counts the
+    reference rims."""
+    rims = recognition._rims
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return rims(*args)
+
+    checked = found = 0
+    recognition._rims = recorded
+    try:
+        for g in graphs:
+            recognize(g)
+            checked += 1
+            for hubs, trace, n, size in calls:
+                expected = reference_rims(n, trace, hubs)
+                got = list(rims(hubs, trace, n, size))
+                assert got == [r for r in expected if len(r) == size], sorted(g.edges())
+                for r in expected:
+                    assert r in rims(hubs, trace, n, len(r)), sorted(g.edges())
+                found += len(expected)
+            calls.clear()
+    finally:
+        recognition._rims = rims
+    return checked, found
+
+
+def rim_agreement(leaves):
+    """``_check_rims`` over every Halin graph with 3 to ``leaves`` leaves,
+    as built and under one relabelling each. CI also runs 10 leaves:
+    (103048, 412150), in about 20 s."""
+    rng = random.Random(27)
+    return _check_rims(h for g, _ in halin_graphs(leaves) for h in (g, relabel(g, rng)[0]))
+
+
+def test_every_candidate_rim_agrees_with_the_reference():
+    assert rim_agreement(8) == (4278, 17082)
+    rng = random.Random(12)
+    generated = [
+        generate(GenSpec(n, variant, seed=n))[0] for variant in VARIANTS for n in (12, 50, 256, 2000)
+    ]
+    assert _check_rims(h for g in generated for h in (g, relabel(g, rng)[0])) == (32, 104)
 
 
 # exhaustive agreement at small n, and the order of the rejection reasons
