@@ -15,7 +15,7 @@ decomposition.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from itertools import combinations
 
 from .graph import Graph, _add_edges, _ids
@@ -30,11 +30,12 @@ class TraceStep(namedtuple("TraceStep", "rule eliminated clique")):
     reads (p, q, r, s) with q eliminated and pr filled; for R2 it reads
     (p, r, s, t) with s eliminated and pt, rt filled.
 
-    ``peo_halin`` stores its steps as plain tuples and ``PeoResult.trace``
-    builds the TraceSteps on each read: the cyclic collector untracks an
-    exact tuple of untracked items, but never an instance of a tuple
-    subclass, so stored TraceSteps would be rescanned by every full
-    collection for as long as the result lives.
+    A ``PeoResult`` keeps no steps, only one flat list of six entries a
+    step: the rule, the eliminated vertex and the four clique ids.
+    ``PeoResult.trace`` builds the TraceSteps and their cliques on each
+    read. So ``peo_halin`` keeps no tuple per step, and a live result
+    holds no object the cyclic collector tracks; a read pays back about
+    the time ``peo_halin`` saved.
     """
 
     __slots__ = ()
@@ -55,20 +56,38 @@ class PeoResult(_Record):
     pairs, a set included.
 
     ``trace`` is read-only and returns a new list of TraceSteps on each
-    read; the steps themselves are kept as given, as plain tuples when
-    ``peo_halin`` built the result.
+    read, built from the one flat record the result stores, six entries
+    a step (see ``TraceStep``). A result built by hand may give its
+    steps as any iterable of (rule, eliminated, clique) with four clique
+    ids, TraceSteps or plain tuples; they are stored in that same form,
+    so results compare, print, pickle and copy by value whichever way
+    they were built. Raises ValueError, naming the step, for a step of
+    any other shape.
     """
 
     def __init__(
-        self, order: list[int], fill_edges: Collection[tuple[int, int]], trace: list[TraceStep]
+        self, order: list[int], fill_edges: Collection[tuple[int, int]], trace: Iterable[TraceStep]
     ) -> None:
         self.order = order
         self.fill_edges = fill_edges
-        self.__dict__["trace"] = trace
+        record: list = []
+        for step in trace:
+            try:
+                rule, eliminated, (a, b, c, d) = step
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"trace step {step!r} is not (rule, eliminated, four clique ids)"
+                ) from None
+            record += (rule, eliminated, a, b, c, d)
+        self.__dict__["trace"] = record
 
     @property
     def trace(self) -> list[TraceStep]:
-        return [_new_tuple(TraceStep, step) for step in self.__dict__["trace"]]
+        it = iter(self.__dict__["trace"])
+        return [
+            _new_tuple(TraceStep, (rule, v, (a, b, c, d)))
+            for rule, v, a, b, c, d in zip(it, it, it, it, it, it)
+        ]
 
 
 def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
@@ -122,9 +141,8 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
 
     # No fill joins two vertices adjacent in g: R1 joins cycle vertices
     # never consecutive, R2 a cycle vertex and a vertex never its parent.
-    order: list[int] = []
     fills: list[tuple[int, int]] = []  # in step order, see PeoResult
-    trace: list[tuple] = []  # plain tuples, see TraceStep
+    record: list = []  # six entries a step, see TraceStep
     live = n
     cur = cyc[0]
     idle = 0
@@ -135,8 +153,7 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
         s = par[cur]
         if par[q] == s and par[r] == s and clen > 3:
             # R1 on the triple (cur, q, r): eliminate q, fill cur-r.
-            trace.append(("R1", q, (cur, q, r, s)))
-            order.append(q)
+            record += ("R1", q, cur, q, r, s)
             fills.append((cur, r) if cur < r else (r, cur))
             nxt[cur] = r  # q is off the cycle now, never read again
             child_count[s] -= 1
@@ -147,8 +164,7 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
             t = inner_xor[s]
             inner_deg[t] -= 1
             inner_xor[t] ^= s
-            trace.append(("R2", s, (cur, q, s, t)))
-            order.append(s)
+            record += ("R2", s, cur, q, s, t)
             fills.append((cur, t) if cur < t else (t, cur))
             fills.append((q, t) if q < t else (t, q))
             par[cur] = t
@@ -177,8 +193,11 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
     missing = {(a, b) for a, b in combinations(tail, 2) if b not in g._adj[a]}
     if nxt[nxt[nxt[cur]]] != cur or (missing and missing.difference(fills)):
         raise MalformedCertificateError("residue is not a K4")
+    order = record[1::6]  # the eliminated vertices
     order += tail
-    return PeoResult(order, fills, trace)
+    result = PeoResult(order, fills, ())
+    result.__dict__["trace"] = record  # already in the stored form
+    return result
 
 
 def chordal_completion(g: Graph, result: PeoResult) -> Graph:

@@ -90,6 +90,11 @@ def test_graph_holds_only_its_edges():
         assert sorted(clone.edges()) == [(0, 1)] and clone.n == 4
 
 
+def test_repr_gives_the_vertex_and_edge_counts():
+    assert repr(Graph()) == "Graph(n=0, m=0)"
+    assert repr(make_wheel(4)[0]) == "Graph(n=4, m=6)"  # K4
+
+
 def test_complete_graph_degrees():
     g, _ = make_wheel(4)
     assert all(g.degree(v) == 3 for v in g.vertices())

@@ -3,11 +3,11 @@ collector off, everything it builds is freed by reference counting
 alone, so a caller may run it with ``gc.disable()``.
 
 With the collector on, a result adds nothing to the collections that
-follow it. The collector untracks an exact tuple whose items are all
-untracked, at the first collection that sees it, but never an instance
-of a tuple subclass such as a namedtuple. So ``peo_halin`` stores its
-trace steps as plain tuples, and a live result holds no tracked object
-that every later full collection would rescan."""
+follow it. ``peo_halin`` stores its trace as one flat list, six entries
+a step (rule, eliminated vertex and four clique ids), all of them
+untracked, and ``PeoResult.trace`` builds the TraceSteps on each read.
+So ``peo_halin`` keeps no tuple per step, and a live result holds no
+tracked object that every later full collection would rescan."""
 
 import copy
 import gc
@@ -60,11 +60,13 @@ def test_pipeline_leaves_no_cyclic_garbage():
 
 
 # sha256 of json.dumps(trace) for peo_halin on 16k-vertex graphs of seed 1
-# in generator labelling, as pinned when the steps were stored as TraceSteps.
+# in generator labelling. The first three were pinned when the steps were
+# stored as TraceSteps, halin_cubic when they were stored as plain tuples.
 TRACE_SHA256 = {
     "wheel": "5b982e12ccbd75f0a50f73d8495eccfc159dc6b1468457fb0e802c2fb952eee8",
     "necklace": "3a7fdc13b8887c054f6a3877a4cc800a35775f40b82d211183fef2939f21e007",
     "halin": "a7ad327596793288b91a9a170819979da3b3c8d5a7c86f65c3e1f1a2bee0cb0b",
+    "halin_cubic": "aae9461b8d68400bd53c2917e16ba65f1e7310b8a7748fea327c8e314f520a40",
 }
 
 
@@ -111,13 +113,22 @@ def test_a_result_built_from_trace_steps_works_like_one_peo_halin_built():
     g, outer = generate(GenSpec(500, "halin", seed=3))
     made = peo_halin(g, certificate_from_outer(g, outer))
     steps = [TraceStep(*step) for step in made.trace]
-    hand = PeoResult(list(made.order), list(made.fill_edges), steps)
-    assert hand == made and made == hand
-    assert repr(hand) == repr(made)
-    assert hand.trace == steps and all(type(step) is TraceStep for step in hand.trace)
+    # Steps given as plain tuples, by a generator or with list cliques are
+    # stored in the same form as TraceSteps, so the results are all equal.
+    forms = {
+        "trace steps": steps,
+        "plain tuples": [tuple(step) for step in steps],
+        "a generator": (step for step in steps),
+        "list cliques": [(rule, v, list(clique)) for rule, v, clique in steps],
+    }
+    for form, given in forms.items():
+        hand = PeoResult(list(made.order), list(made.fill_edges), given)
+        assert hand == made and made == hand, form
+        assert repr(hand) == repr(made), form
+        assert hand.trace == steps and all(type(step) is TraceStep for step in hand.trace), form
+        for clone in (pickle.loads(pickle.dumps(hand)), copy.copy(hand), copy.deepcopy(hand)):
+            assert clone == made and repr(clone) == repr(made) and clone.trace == steps, form
     assert list(chordal_completion(g, hand).edges()) == list(chordal_completion(g, made).edges())
     # Fills given as a set make the same completion, added in another order.
     as_set = PeoResult(list(made.order), set(made.fill_edges), steps)
     assert set(chordal_completion(g, as_set).edges()) == set(chordal_completion(g, made).edges())
-    for clone in (pickle.loads(pickle.dumps(hand)), copy.copy(hand), copy.deepcopy(hand)):
-        assert clone == made and clone.trace == steps
