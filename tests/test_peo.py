@@ -282,13 +282,14 @@ def test_completion_rejects_bad_fill(fill):
 
 @pytest.mark.parametrize(
     "step",
-    [("R1", 1, (0, 1, 2)), ("R1", 1, (0, 1, 2, 4, 5)), ("R1", 1, 7), ("R1", 1), ("R1", 1, (0, 1, 2, 4), 9),
-     None],
+    [("R1", 1, (0, 1, 2)), ("R1", 1, (0, 1, 2, 4, 5)), ("R1", 1, 7), ("R1", 1),
+     ("R1", 1, (0, 1, 2, 4), 9), None],
     ids=["three-ids", "five-ids", "int-clique", "no-clique", "four-fields", "none"],
 )
 def test_a_hand_built_step_of_another_shape_is_refused(step):
     good = ("R1", 1, (0, 1, 2, 4))
-    with pytest.raises(ValueError, match=r"^trace step .* is not \(rule, eliminated, four clique ids\)$") as err:
+    shape = r"^trace step .* is not \(rule, eliminated, four clique ids\)$"
+    with pytest.raises(ValueError, match=shape) as err:
         PeoResult([1, 0, 2, 3, 4], [(0, 2)], [good, step])
     assert repr(step) in str(err.value)
 
