@@ -19,8 +19,7 @@ wrong pattern fails loudly instead of returning an improper coloring.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, groupby
-from operator import eq
+from itertools import groupby
 
 from .graph import Graph
 from .recognition import HalinCertificate, MalformedCertificateError, _Record, check_certificate
@@ -184,25 +183,18 @@ def _odd_run(g: Graph, cert: HalinCertificate) -> FanRun:
 
 
 def _check_proper(cert: HalinCertificate, colors) -> None:
-    """Raise MalformedCertificateError naming a monochromatic edge, if any.
+    """Raise MalformedCertificateError naming the first monochromatic edge.
 
     ``colors`` maps each vertex id to its color: a list or a dict.
 
-    Tests the n - 1 tree edges and the cycle edges of ``cert``, which
-    ``certify``, which built it, proved to be exactly the edges of the
-    graph.
+    One pass over the n - 1 tree edges of ``cert`` in parent order, then
+    its cycle edges in cycle order: ``certify``, which built ``cert``,
+    proved these to be exactly the edges of the graph.
     """
-    parent = cert.parent
     cyc = cert.cycle_order
-    color = colors.__getitem__
-    around = list(map(color, cyc))
-    if not (
-        any(map(eq, map(color, parent), map(color, parent.values())))
-        or any(map(eq, around, around[1:] + around[:1]))
-    ):
-        return
-    edges = chain(parent.items(), zip(cyc, cyc[1:] + cyc[:1]))
-    u, v = next((u, v) for u, v in edges if colors[u] == colors[v])
-    raise MalformedCertificateError(
-        f"improper coloring: edge ({u}, {v}) has color {colors[u]} at both ends"
-    )
+    for edges in (cert.parent.items(), zip(cyc, cyc[1:] + cyc[:1])):
+        for u, v in edges:
+            if colors[u] == colors[v]:
+                raise MalformedCertificateError(
+                    f"improper coloring: edge ({u}, {v}) has color {colors[u]} at both ends"
+                )

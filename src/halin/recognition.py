@@ -171,16 +171,16 @@ def certify(g: Graph, outer: set[int]) -> HalinCertificate | None:
     """
     outer = frozenset(outer)  # the certificate's own set; no copy if frozen
     adj = g._adj
-    if len(outer) < 3 or not _ids(outer, len(adj)):
+    if not _ids(outer, len(adj)):
         return None
-    # Outer vertices: 2 cycle neighbors + 1 tree parent.
+    # Outer vertices: 2 cycle neighbors + 1 tree parent; an empty set fails.
     if set(map(len, map(adj.__getitem__, outer))) != {3}:
         return None
     # (a) The walk from the smallest outer id toward its smaller outer
     # neighbor.
     start = min(outer)
     first = sorted(adj[start] & outer)
-    if len(first) != 2:
+    if len(first) != 2:  # one or two outer vertices fail here
         return None
     # Every vertex the walk reaches has exactly two outer neighbours (the
     # checks below), so it can reach no vertex but start twice, and ends.
@@ -269,17 +269,17 @@ def recognize(g: Graph) -> RecognitionResult:
     On acceptance the certificate is the one ``certify`` builds for the
     recovered outer set; on rejection the result carries a reason code.
     ``certify`` proves connectivity and minimum degree 3 of what it
-    accepts, so those two checks run only on the way to a rejection,
-    first connectivity, then degree, which picks the reason code. One
-    minimum-degree pass sends an input with a vertex of degree below 3
-    to that path without reducing it.
+    accepts, so on a rejection those two checks only pick the reason
+    code: first connectivity, then degree. The one minimum-degree pass
+    also sends an input with a vertex of degree below 3 there unreduced.
     """
     n = g.n
     src = g._adj
     hubs: list[int] = []
+    low = min(map(len, src), default=3) < 3
     # A Halin graph has at least four vertices, each of degree 3 or more;
     # any other input goes straight to the rejection path.
-    if n >= 4 and min(map(len, src)) >= 3:
+    if n >= 4 and not low:
         # In a Halin graph a vertex joined to all others is the hub of a
         # wheel (any vertex of K4), whose rim is known without reducing.
         adj, residue, trace = src, range(n), []
@@ -299,7 +299,7 @@ def recognize(g: Graph) -> RecognitionResult:
                 return RecognitionResult(cert, None)
     if not g.is_connected():
         return RecognitionResult(None, REASON_DISCONNECTED)
-    if any(len(a) < 3 for a in src):
+    if low:
         return RecognitionResult(None, REASON_LOW_DEGREE)
     return RecognitionResult(None, REASON_VERIFY_FAILED if hubs else REASON_STUCK)
 

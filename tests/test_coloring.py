@@ -67,6 +67,11 @@ def test_color_tree_any_parent_order(seed):
     for parent in (dict(items), dict(reversed(cert.parent.items()))):
         shuffled = HalinCertificate(cert.outer, cert.cycle_order, parent, cert.root)
         assert color_halin(g, shuffled) == color_halin(g, cert)
+        # The check hands back an equal certificate in the canonical parent
+        # order, not the caller's: _color_tree needs every parent first.
+        checked = check_certificate(g, shuffled)
+        assert checked == shuffled and checked is not shuffled
+        assert list(checked.parent) == list(cert.parent) != list(shuffled.parent)
 
 
 def test_parent_cycle_is_malformed():
@@ -270,3 +275,9 @@ def test_improper_coloring_names_the_edge():
     leaf = cert.cycle_order[3]
     with pytest.raises(MalformedCertificateError, match=rf"edge \({leaf}, {hub}\) has color {colors[hub]}"):
         _check_proper(cert, colors | {leaf: colors[hub]})
+    # A bad tree edge and a bad cycle edge: the tree edge comes first in
+    # parent order, so it is named, whether the colors are a dict or a list.
+    both = colors | {u: colors[v], leaf: colors[hub]}
+    for given in (both, [both[w] for w in range(g.n)]):
+        with pytest.raises(MalformedCertificateError, match=rf"edge \({leaf}, {hub}\) has color {colors[hub]}"):
+            _check_proper(cert, given)

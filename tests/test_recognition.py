@@ -98,9 +98,23 @@ def test_rejects_k5():
 
 
 def test_rejects_tiny_graphs():
-    assert not recognize(Graph(0)).is_halin
-    assert not recognize(Graph(1)).is_halin
-    assert not recognize(Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])).is_halin
+    for g, reason in [
+        (Graph(0), REASON_STUCK),
+        (Graph(1), REASON_LOW_DEGREE),
+        (Graph(2), REASON_DISCONNECTED),
+        (Graph.from_edges(2, [(0, 1)]), REASON_LOW_DEGREE),
+        (Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)]), REASON_LOW_DEGREE),
+        (Graph(4), REASON_DISCONNECTED),
+    ]:
+        result = recognize(g)
+        assert not result.is_halin
+        assert result.reason == reason, g
+    # certify needs no size guard: fewer than three outer vertices fail
+    # its outer-degree test or its first-walk-step test.
+    g, _ = make_wheel(7)
+    for k in range(3):
+        for outer in itertools.combinations(range(g.n), k):
+            assert certify(g, set(outer)) is None
 
 
 # verify_halin
