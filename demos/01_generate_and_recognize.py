@@ -6,20 +6,20 @@ by two local rules on triangles of degree-3 vertices until four vertices
 remain, then undoes the rules to recover the outer cycle.
 """
 
-from halin import GenSpec, Graph, make_halin, make_necklace, make_wheel, recognize
+from halin import GenSpec, Graph, generate, make_necklace, make_wheel, recognize
 
 # The smallest members of the family.
 for name, (g, outer) in {
     "wheel W4 (= K4)": make_wheel(4),
     "wheel W6": make_wheel(6),
     "3-prism (necklace, spine 2)": make_necklace(2),
-    "random Halin, 10 vertices": make_halin(GenSpec(10, seed=7)),
+    "random Halin, 10 vertices": generate(GenSpec(10, seed=7)),
 }.items():
     print(f"{name}: {g.n} vertices, {g.num_edges()} edges, outer cycle {sorted(outer)}")
 
 # Recognition emits a certificate: the outer cycle in order, plus the
 # inner tree as a parent map.
-g, _ = make_halin(GenSpec(12, seed=3))
+g, _ = generate(GenSpec(12, seed=3))
 result = recognize(g)
 cert = result.certificate
 print("\nrecognized a 12-vertex instance:")

@@ -14,7 +14,7 @@ from halin import (
     GenSpec,
     certificate_from_outer,
     color_halin,
-    make_halin,
+    generate,
     make_wheel,
 )
 from halin.coloring import _forced_colors
@@ -33,7 +33,7 @@ for n in (4, 5, 6, 7, 10, 11, 40):
 # n=40 takes case 3; n=11 and n=16 take case 4, recoloring an odd fan
 # and an odd pseudo-fan.
 for spec in (GenSpec(40, seed=11), GenSpec(11, seed=9), GenSpec(16, seed=27)):
-    g, outer = make_halin(spec)
+    g, outer = generate(spec)
     cert = certificate_from_outer(g, outer)
     trace = ColoringTrace()
     colors = color_halin(g, cert, trace)

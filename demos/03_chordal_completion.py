@@ -10,7 +10,7 @@ from halin import (
     GenSpec,
     certificate_from_outer,
     chordal_completion,
-    make_halin,
+    generate,
     make_wheel,
     peo_halin,
     treewidth_from_peo,
@@ -27,7 +27,7 @@ for step in result.trace:
 
 # A larger instance: the order is a PEO, so the completion is chordal, and
 # the width never exceeds 3 (one less than the K4 cliques the rules build).
-g, outer = make_halin(GenSpec(40, seed=8))
+g, outer = generate(GenSpec(40, seed=8))
 result = peo_halin(g, certificate_from_outer(g, outer))
 completion = chordal_completion(g, result)
 print(f"\nn=40: {len(result.fill_edges)} fill edges, "

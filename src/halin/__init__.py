@@ -38,8 +38,6 @@ _SOURCE = {
     "generate": "generators",
     "is_even_wheel": "coloring",
     "load_graph": "io",
-    "make_halin": "generators",
-    "make_halin_cubic": "generators",
     "make_necklace": "generators",
     "make_wheel": "generators",
     "peo_halin": "peo",

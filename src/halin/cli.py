@@ -199,14 +199,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         return 0 if ok else 1
     # mode == "peo"
-    from .peo import _is_chordal, chordal_completion, peo_halin, treewidth_from_peo
+    from .peo import _is_chordal, _peo_width, chordal_completion, peo_halin
 
     result = peo_halin(g, cert)
     completion = chordal_completion(g, result)
-    try:
-        width = treewidth_from_peo(completion, result.order)  # checks the PEO too
-    except ValueError:
-        width = None
+    width = _peo_width(completion, result.order)  # None unless the order is a PEO
     valid = width is not None
     # A graph with a PEO is chordal; only a failed walk needs the search.
     chordal = valid or _is_chordal(completion)

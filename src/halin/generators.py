@@ -62,19 +62,10 @@ def make_necklace(k: int) -> tuple[Graph, set[int]]:
     return Graph.from_edges(2 * k + 2, edges), set(outer)
 
 
-def make_halin(spec: GenSpec) -> tuple[Graph, set[int]]:
-    """Random Halin graph with exactly spec.n vertices."""
-    return _close_cycle(_grow_tree(spec.n, random.Random(spec.seed), cubic=False))
-
-
-def make_halin_cubic(spec: GenSpec) -> tuple[Graph, set[int]]:
-    """Random cubic Halin graph; spec.n must be even."""
-    return _close_cycle(_grow_tree(spec.n, random.Random(spec.seed), cubic=True))
-
-
 def generate(spec: GenSpec) -> tuple[Graph, set[int]]:
-    """Dispatch on spec.variant; wheel and necklace ignore the seed. Each
-    generator checks its own sizes; here only the variant and the necklace n,
+    """The graph of spec.variant: a wheel or a necklace, which ignore the
+    seed, or a random Halin graph, general or cubic, grown here. Each
+    builder checks its own sizes; here only the variant and the necklace n,
     which this function turns into a spine length."""
     if spec.variant == "wheel":
         return make_wheel(spec.n)
@@ -83,10 +74,9 @@ def generate(spec: GenSpec) -> tuple[Graph, set[int]]:
         if spec.n % 2 != 0:
             raise ValueError("necklace requires an even vertex count")
         return make_necklace((spec.n - 2) // 2)
-    if spec.variant == "halin":
-        return make_halin(spec)
-    if spec.variant == "halin_cubic":
-        return make_halin_cubic(spec)
+    if spec.variant in ("halin", "halin_cubic"):
+        cubic = spec.variant == "halin_cubic"
+        return _close_cycle(_grow_tree(spec.n, random.Random(spec.seed), cubic=cubic))
     raise ValueError(f"unknown variant {spec.variant!r}")
 
 
@@ -96,7 +86,7 @@ def _grow_tree(n: int, rng: random.Random, cubic: bool) -> list[list[int]]:
     Returns per-vertex ordered child lists. The root starts with 3
     children (4 for n=5 so the budget lands exactly); each split turns a
     leaf into an internal node with 2 children (cubic) or 2-3 children
-    (general), never leaving a remainder of 1. Checks n for both callers.
+    (general), never leaving a remainder of 1. Checks n for both variants.
     """
     _check_int(n, "Halin vertex count")
     if n < 4:

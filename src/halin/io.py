@@ -16,7 +16,7 @@ import json
 import re
 from collections.abc import Set
 
-from .graph import Graph, _brief
+from .graph import Graph, _brief, _ids
 from .recognition import HalinCertificate
 
 _GRAPH_FIELDS = {"n", "edges", "outer"}
@@ -26,10 +26,6 @@ _ID_KEY = re.compile(r"-?[0-9]+")  # a parent key: an integer in decimal
 
 class GraphFormatError(ValueError):
     """Raised when a graph or certificate document is malformed."""
-
-
-def _is_id(x: object) -> bool:
-    return type(x) is int  # the rule of Graph: a bool is no id
 
 
 def graph_to_dict(g: Graph, outer: set[int] | None = None) -> dict[str, object]:
@@ -54,7 +50,7 @@ def graph_from_dict(obj: object) -> tuple[Graph, set[int] | None]:
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be an array of [u, v] pairs')
     n = obj["n"]
-    if not _is_id(n) or n < 0:
+    if type(n) is not int or n < 0:  # Graph's rule: a bool is no count
         raise GraphFormatError('"n" must be a non-negative integer')
     if n > 2 * len(edges) + 1:
         raise GraphFormatError('"n" must be at most 2 * (number of edges) + 1')
@@ -70,14 +66,14 @@ def graph_from_dict(obj: object) -> tuple[Graph, set[int] | None]:
     outer: set[int] | None = None
     if "outer" in obj:
         raw = obj["outer"]
-        if not isinstance(raw, list) or not all(map(_is_id, raw)):
+        if not isinstance(raw, list) or not {*map(type, raw)} <= {int}:
             raise GraphFormatError('"outer" must be an array of vertex ids')
         outer = set(raw)
         if len(outer) != len(raw):
             raise GraphFormatError('"outer" contains duplicate ids')
-        for v in outer:
-            if not g.has_vertex(v):
-                raise GraphFormatError(f"outer vertex {_brief(v)} is out of range")
+        if not _ids(outer, n):
+            v = next(v for v in outer if not g.has_vertex(v))
+            raise GraphFormatError(f"outer vertex {_brief(v)} is out of range")
     return g, outer
 
 
@@ -130,15 +126,15 @@ def certificate_from_dict(obj: object) -> HalinCertificate:
     if missing:
         raise GraphFormatError(f"bad certificate: missing fields {sorted(missing)}")
     for name in ("outer", "cycle_order"):
-        if not isinstance(obj[name], list) or not all(map(_is_id, obj[name])):
+        if not isinstance(obj[name], list) or not {*map(type, obj[name])} <= {int}:
             raise GraphFormatError(f'bad certificate: "{name}" must be an array of vertex ids')
-    if not _is_id(obj["root"]):
+    if type(obj["root"]) is not int:
         raise GraphFormatError('bad certificate: "root" must be a vertex id')
     outer = frozenset(obj["outer"])
     if len(outer) != len(obj["outer"]):
         raise GraphFormatError('bad certificate: "outer" contains duplicate ids')
     raw_parent = obj["parent"]
-    if not isinstance(raw_parent, dict) or not all(map(_is_id, raw_parent.values())):
+    if not isinstance(raw_parent, dict) or not {*map(type, raw_parent.values())} <= {int}:
         raise GraphFormatError('bad certificate: "parent" must map vertex ids to vertex ids')
     parent = {}
     for key, p in raw_parent.items():

@@ -10,7 +10,9 @@ import halin
 from halin.cli import main
 from halin.io import (
     GraphFormatError,
+    certificate_from_dict,
     dumps_graph,
+    graph_from_dict,
     load_certificate,
     load_graph,
 )
@@ -246,16 +248,23 @@ def test_verify_answers_above_16_vertices(tmp_path, capsys):
 def test_verify_peo_mode_searches_only_when_the_order_fails(tmp_path, capsys, monkeypatch):
     import halin.peo
 
-    def rejected(filled, order):
-        raise ValueError("order is not a perfect elimination ordering")
+    # The first walk, over peo_halin's order, fails; _is_chordal's own walk
+    # runs the real test and finds the completion chordal.
+    walks = []
+    real = halin.peo._peo_width
 
-    monkeypatch.setattr(halin.peo, "treewidth_from_peo", rejected)
+    def rejected_once(filled, order):
+        walks.append(order)
+        return None if len(walks) == 1 else real(filled, order)
+
+    monkeypatch.setattr(halin.peo, "_peo_width", rejected_once)
     graph = tmp_path / "g.json"
     main(["generate", "--variant", "halin", "--n", "30", "--seed", "2", "--out", str(graph)])
     capsys.readouterr()
     assert main(["verify", "--in", str(graph), "--mode", "peo"]) == 1
     out = _out(capsys)
     assert (out["peo_valid"], out["treewidth"], out["chordal"], out["ok"]) == (False, None, True, False)
+    assert len(walks) == 2
 
 
 def test_usage_error_exit_code():
@@ -406,6 +415,52 @@ def test_loose_certificate_ids_are_format_errors(tmp_path, name):
     with pytest.raises(GraphFormatError):
         load_certificate(str(bad))
     _assert_cli_format_error("color", "--in", graph, "--certificate", bad)
+
+
+# Each place where a document holds an id or a count, and the exact line
+# its reader raises for a float, a bool or a string there.
+ID_ERRORS = {
+    "n": '"n" must be a non-negative integer',
+    "outer": '"outer" must be an array of vertex ids',
+    "cert-outer": 'bad certificate: "outer" must be an array of vertex ids',
+    "cert-cycle_order": 'bad certificate: "cycle_order" must be an array of vertex ids',
+    "cert-root": 'bad certificate: "root" must be a vertex id',
+    "cert-parent": 'bad certificate: "parent" must map vertex ids to vertex ids',
+}
+
+
+def _with_id(place, x):
+    """LOOSE_GRAPH or its certificate with ``x`` at ``place``."""
+    cert = {"outer": [2, 4, 5, 6, 7], "cycle_order": [2, 4, 5, 6, 7], "root": 0,
+            "parent": {"1": 0, "2": 1, "3": 0, "4": 1, "5": 3, "6": 3, "7": 0}}
+    if place == "n":
+        return graph_from_dict, dict(LOOSE_GRAPH, n=x)
+    if place == "outer":
+        return graph_from_dict, dict(LOOSE_GRAPH, outer=[2, x, 5, 6, 7])
+    field = place.removeprefix("cert-")
+    if field == "root":
+        return certificate_from_dict, dict(cert, root=x)
+    if field == "parent":
+        return certificate_from_dict, dict(cert, parent=dict(cert["parent"], **{"5": x}))
+    return certificate_from_dict, dict(cert, **{field: [2, 4, x, 6, 7]})
+
+
+@pytest.mark.parametrize("x", [4.0, True, "4"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("place", sorted(ID_ERRORS))
+def test_id_error_lines_are_pinned(place, x):
+    read, doc = _with_id(place, x)
+    with pytest.raises(GraphFormatError) as err:
+        read(doc)
+    assert str(err.value) == ID_ERRORS[place]
+
+
+@pytest.mark.parametrize(
+    "outer,v", [([2, 9, 8], 8), ([-1, 2], -1), ([2, 4, 10**9], 10**9)], ids=["n", "negative", "large"]
+)
+def test_outer_error_names_an_out_of_range_vertex(outer, v):
+    with pytest.raises(GraphFormatError) as err:
+        graph_from_dict(dict(LOOSE_GRAPH, outer=outer))
+    assert str(err.value) == f"outer vertex {v} is out of range"
 
 
 # One malformed graph document per rule of graph_from_dict's edge pass,

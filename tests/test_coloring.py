@@ -17,7 +17,6 @@ from halin import (
     color_halin,
     generate,
     is_even_wheel,
-    make_halin,
     make_necklace,
     make_wheel,
     recognize,
@@ -50,7 +49,7 @@ def test_color_tree_alternates_by_depth():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_color_tree_proper_on_tree_edges(seed):
-    g, outer = make_halin(GenSpec(30 + seed, seed=seed))
+    g, outer = generate(GenSpec(30 + seed, seed=seed))
     cert = _cert(g, outer)
     colors = _color_tree(cert)
     for child, parent in cert.parent.items():
@@ -60,7 +59,7 @@ def test_color_tree_proper_on_tree_edges(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_color_tree_any_parent_order(seed):
     # A parent map listing children before their parents colors the same.
-    g, outer = make_halin(GenSpec(40 + seed, seed=seed))
+    g, outer = generate(GenSpec(40 + seed, seed=seed))
     cert = _cert(g, outer)
     items = list(cert.parent.items())
     random.Random(seed).shuffle(items)
@@ -227,7 +226,7 @@ def test_reused_trace_keeps_no_stale_run():
 
 def test_root_color_is_stable():
     for seed in range(6):
-        g, outer = make_halin(GenSpec(20, seed=seed))
+        g, outer = generate(GenSpec(20, seed=seed))
         cert = _cert(g, outer)
         colors = color_halin(g, cert)
         assert colors[cert.root] == C1

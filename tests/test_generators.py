@@ -5,8 +5,6 @@ import pytest
 from halin import (
     GenSpec,
     generate,
-    make_halin,
-    make_halin_cubic,
     make_necklace,
     make_wheel,
     verify_halin,
@@ -66,20 +64,20 @@ def test_necklace_too_small():
 
 def test_halin_n4_is_k4():
     for seed in range(5):
-        g, outer = make_halin(GenSpec(4, seed=seed))
+        g, outer = generate(GenSpec(4, seed=seed))
         assert g.num_edges() == 6
         assert len(outer) == 3
 
 
 def test_halin_n10_seed7_verifies():
-    g, outer = make_halin(GenSpec(10, seed=7))
+    g, outer = generate(GenSpec(10, seed=7))
     assert g.n == 10
     assert verify_halin(g, outer)
 
 
 def test_halin_determinism():
-    a, outer_a = make_halin(GenSpec(40, seed=23))
-    b, outer_b = make_halin(GenSpec(40, seed=23))
+    a, outer_a = generate(GenSpec(40, seed=23))
+    b, outer_b = generate(GenSpec(40, seed=23))
     assert sorted(a.edges()) == sorted(b.edges())
     assert outer_a == outer_b
     assert dumps_graph(a, outer_a) == dumps_graph(b, outer_b)
@@ -87,12 +85,12 @@ def test_halin_determinism():
 
 def test_halin_too_small():
     with pytest.raises(ValueError):
-        make_halin(GenSpec(3))
+        generate(GenSpec(3))
 
 
 @pytest.mark.parametrize("n", range(4, 60))
 def test_halin_verifies_and_counts_edges(n):
-    g, outer = make_halin(GenSpec(n, seed=n * 31 + 1))
+    g, outer = generate(GenSpec(n, seed=n * 31 + 1))
     assert g.n == n
     assert verify_halin(g, outer)
     assert g.num_edges() == (n - 1) + len(outer)
@@ -102,7 +100,7 @@ def test_halin_verifies_and_counts_edges(n):
 
 @pytest.mark.parametrize("n", range(4, 61, 2))
 def test_cubic_verifies(n):
-    g, outer = make_halin_cubic(GenSpec(n, "halin_cubic", seed=n))
+    g, outer = generate(GenSpec(n, "halin_cubic", seed=n))
     assert g.n == n
     assert all(g.degree(v) == 3 for v in g.vertices())
     assert g.num_edges() == 3 * n // 2
@@ -110,16 +108,16 @@ def test_cubic_verifies(n):
 
 
 def test_cubic_n10_seed1():
-    g, outer = make_halin_cubic(GenSpec(10, "halin_cubic", 1))
+    g, outer = generate(GenSpec(10, "halin_cubic", 1))
     assert [g.degree(v) for v in g.vertices()] == [3] * 10
     assert verify_halin(g, outer)
 
 
 def test_cubic_rejects_odd_and_small():
     with pytest.raises(ValueError):
-        make_halin_cubic(GenSpec(7, "halin_cubic"))
+        generate(GenSpec(7, "halin_cubic"))
     with pytest.raises(ValueError):
-        make_halin_cubic(GenSpec(2, "halin_cubic"))
+        generate(GenSpec(2, "halin_cubic"))
 
 
 def test_generate_dispatch():

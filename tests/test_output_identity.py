@@ -4,10 +4,15 @@ builder."""
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import halin
 from halin import (
     ColoringTrace,
     GenSpec,
@@ -200,3 +205,22 @@ def test_cli_output_is_pinned(tmp_path, monkeypatch, capsys):
     files = {path.name: path.read_text() for path in sorted(tmp_path.iterdir())}
     doc = json.dumps([runs, files])
     assert hashlib.sha256(doc.encode()).hexdigest() == CLI_PINNED
+
+
+# sha256 of each demo's stdout. Demo 04 prints timings, so it is left out.
+DEMOS_PINNED = {
+    "01_generate_and_recognize.py": "d0a30a79a4d391b903cfba004741aec338f775bdff8a4c319d6c3da019dfedbe",
+    "02_vertex_coloring.py": "b78d8be483b5020a7e5f389dfdf44aabe57f5df9b29b2d0d00db8d533d48cd9d",
+    "03_chordal_completion.py": "d8b499f152a92fdb173b5c84dc95169b95d17c8283855c744ce6a0ca3675a98b",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS_PINNED))
+def test_demo_output_is_pinned(demo):
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    src = os.path.dirname(os.path.dirname(halin.__file__))
+    proc = subprocess.run(
+        [sys.executable, str(demos / demo)], capture_output=True, env=dict(os.environ, PYTHONPATH=src)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMOS_PINNED[demo]

@@ -83,8 +83,8 @@ ALL = [
     "GraphFormatError", "HalinCertificate", "MalformedCertificateError", "PeoResult",
     "RecognitionResult", "TraceStep", "certificate_from_outer", "chordal_completion",
     "color_halin", "dumps_graph", "generate", "is_even_wheel", "load_graph",
-    "make_halin", "make_halin_cubic", "make_necklace", "make_wheel", "peo_halin",
-    "recognize", "save_graph", "treewidth_from_peo", "verify_halin", "verify_peo",
+    "make_necklace", "make_wheel", "peo_halin", "recognize", "save_graph",
+    "treewidth_from_peo", "verify_halin", "verify_peo",
 ]
 
 SURFACE_CHILD = """

@@ -12,7 +12,6 @@ from halin import (
     chordal_completion,
     color_halin,
     generate,
-    make_halin,
     make_necklace,
     make_wheel,
     peo_halin,
@@ -134,7 +133,7 @@ def _assert_trace_replays(result):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_trace_replay_reproduces_result(seed):
-    g, outer = make_halin(GenSpec(10 + 13 * seed, seed=seed))
+    g, outer = generate(GenSpec(10 + 13 * seed, seed=seed))
     _assert_trace_replays(_run(g, outer))
 
 
@@ -171,13 +170,13 @@ def test_residue_is_the_uneliminated_vertices_ascending(case):
 @pytest.mark.parametrize("n", range(4, 13))
 def test_small_completions_chordal(n):
     for seed in range(5):
-        g, outer = make_halin(GenSpec(n, seed=seed))
+        g, outer = generate(GenSpec(n, seed=seed))
         result = _run(g, outer)
         assert is_chordal_bruteforce(chordal_completion(g, result))
 
 
 def test_elimination_cliques_cap_at_four():
-    g, outer = make_halin(GenSpec(120, seed=3))
+    g, outer = generate(GenSpec(120, seed=3))
     result = _run(g, outer)
     comp = chordal_completion(g, result)
     pos = {v: i for i, v in enumerate(result.order)}
@@ -229,7 +228,7 @@ def test_self_check_triangle_is_no_k4(monkeypatch):
 
 
 def test_peo_does_not_mutate_input():
-    g, outer = make_halin(GenSpec(30, seed=9))
+    g, outer = generate(GenSpec(30, seed=9))
     before = sorted(g.edges())
     _run(g, outer)
     assert sorted(g.edges()) == before
@@ -256,7 +255,7 @@ def test_swapped_cycle_entries_rejected():
 
 
 def test_certificate_must_cover_every_edge():
-    g, outer = make_halin(GenSpec(20, seed=4))
+    g, outer = generate(GenSpec(20, seed=4))
     cert = certificate_from_outer(g, outer)
     inner = sorted(set(g.vertices()) - outer)
     extra = next(

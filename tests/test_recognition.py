@@ -10,7 +10,6 @@ from halin import (
     MalformedCertificateError,
     certificate_from_outer,
     generate,
-    make_halin,
     make_necklace,
     make_wheel,
     recognize,
@@ -178,7 +177,7 @@ def test_inner_tree_prism_decomposition():
 
 
 def test_inner_tree_parent_count():
-    g, outer = make_halin(GenSpec(10, seed=7))
+    g, outer = generate(GenSpec(10, seed=7))
     parent, _ = inner_tree(g, outer)
     assert len(parent) == 9
 
@@ -246,7 +245,7 @@ def test_recognize_agrees_with_bruteforce():
 @pytest.mark.parametrize("seed", range(12))
 def test_cycle_edge_deletion_rejected(seed):
     rng = random.Random(seed)
-    g, outer = make_halin(GenSpec(rng.randint(5, 80), seed=seed))
+    g, outer = generate(GenSpec(rng.randint(5, 80), seed=seed))
     order = certify(g, outer).cycle_order
     i = rng.randrange(len(order))
     cut = {order[i], order[(i + 1) % len(order)]}
@@ -267,7 +266,7 @@ def test_outer_matches_generator_for_unique_decompositions():
 
 
 def test_certificate_from_outer_fields():
-    g, outer = make_halin(GenSpec(15, seed=2))
+    g, outer = generate(GenSpec(15, seed=2))
     cert = certificate_from_outer(g, outer)
     assert set(cert.outer) == outer
     assert set(cert.cycle_order) == outer
@@ -280,14 +279,14 @@ def test_certificate_from_outer_fields():
 
 
 def test_recognize_does_not_mutate_input():
-    g, _ = make_halin(GenSpec(25, seed=4))
+    g, _ = generate(GenSpec(25, seed=4))
     edges_before = sorted(g.edges())
     recognize(g)
     assert sorted(g.edges()) == edges_before
 
 
 def test_check_certificate_rejects_each_broken_condition():
-    g, outer = make_halin(GenSpec(30, seed=3))
+    g, outer = generate(GenSpec(30, seed=3))
     cert = certificate_from_outer(g, outer)
     check_certificate(g, cert)
     parent = cert.parent
