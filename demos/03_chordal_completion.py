@@ -13,9 +13,9 @@ from halin import (
     generate,
     make_wheel,
     peo_halin,
-    treewidth_from_peo,
     verify_peo,
 )
+from halin.peo import _peo_width
 
 # W5 takes a single R1 step: eliminate rim vertex 1, fill 0-2.
 g, outer = make_wheel(5)
@@ -32,5 +32,5 @@ result = peo_halin(g, certificate_from_outer(g, outer))
 completion = chordal_completion(g, result)
 print(f"\nn=40: {len(result.fill_edges)} fill edges, "
       f"PEO valid (so chordal) = {verify_peo(completion, result.order)}, "
-      f"treewidth = {treewidth_from_peo(completion, result.order)}")
+      f"treewidth = {_peo_width(completion, result.order)}")
 print("rule sequence:", "".join(step.rule[-1] for step in result.trace))

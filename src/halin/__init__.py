@@ -17,12 +17,7 @@ __version__ = "0.1.0"
 
 # Each public name -> the submodule that defines it.
 _SOURCE = {
-    "C1": "coloring",
-    "C2": "coloring",
-    "C3": "coloring",
-    "C4": "coloring",
     "ColoringTrace": "coloring",
-    "FanRun": "coloring",
     "GenSpec": "generators",
     "Graph": "graph",
     "GraphFormatError": "io",
@@ -36,14 +31,12 @@ _SOURCE = {
     "color_halin": "coloring",
     "dumps_graph": "io",
     "generate": "generators",
-    "is_even_wheel": "coloring",
     "load_graph": "io",
     "make_necklace": "generators",
     "make_wheel": "generators",
     "peo_halin": "peo",
     "recognize": "recognition",
     "save_graph": "io",
-    "treewidth_from_peo": "peo",
     "verify_halin": "recognition",
     "verify_peo": "peo",
 }

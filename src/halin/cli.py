@@ -179,11 +179,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if cert is None:
         return 1
     if args.mode == "coloring":
-        from .coloring import _forced_colors, color_halin, is_even_wheel
+        from .coloring import _forced_colors, _is_even_wheel, color_halin
 
         colors = color_halin(g, cert)
         used = len(set(colors.values()))
-        expected = 4 if is_even_wheel(g, cert) else 3
+        expected = 4 if _is_even_wheel(g, cert) else 3
         # color_halin proved `used` colors enough; a witness forcing as
         # many makes the count the chromatic number.
         chromatic = used if _forced_colors(g, cert) == used else None

@@ -47,8 +47,8 @@ class ColoringTrace(_Record):
         self.odd_run = odd_run
 
 
-def is_even_wheel(g: Graph, cert: HalinCertificate) -> bool:
-    """True iff the inner tree is a single star hub and n is even."""
+def _is_even_wheel(g: Graph, cert: HalinCertificate) -> bool:
+    """True iff a checked ``cert``'s inner tree is one star hub and n is even."""
     return g.n - len(cert.outer) == 1 and g.n % 2 == 0
 
 
@@ -64,7 +64,7 @@ def _forced_colors(g: Graph, cert: HalinCertificate) -> int | None:
     adj = g._adj
     cyc = cert.cycle_order
     ring = zip(cyc, cyc[1:] + cyc[:1])
-    if is_even_wheel(g, cert):
+    if _is_even_wheel(g, cert):
         hub = cert.root
         odd_wheel = len(cyc) % 2 == 1 and all(v in adj[u] and hub in adj[u] for u, v in ring)
         return 4 if odd_wheel else None
@@ -105,7 +105,7 @@ def color_halin(
 
     if length % 2 == 0:
         case, start = 1, 1
-    elif is_even_wheel(g, cert):
+    elif _is_even_wheel(g, cert):
         case, start = 2, 1
     elif len(set(map(colors.__getitem__, cyc))) == 2:  # both tree colors on the cycle
         case, start = 3, 2
@@ -127,7 +127,7 @@ def color_halin(
     if case == 2:
         colors[cyc[-1]] = C4
     elif case == 4:
-        for w in g.neighbors(run.center):
+        for w in g._adj[run.center]:
             if colors[w] == C3:  # a leaf of the center outside its run
                 colors[w] = other
 
@@ -174,7 +174,7 @@ def _odd_run(g: Graph, cert: HalinCertificate) -> FanRun:
         run_len = len(list(members))
         if run_len % 2:
             positions = tuple((pos + t) % length for t in range(run_len))
-            run = FanRun(center, positions, g.degree(center) == run_len + 1)
+            run = FanRun(center, positions, len(g._adj[center]) == run_len + 1)
             if run.is_fan:
                 return run
             first = first or run

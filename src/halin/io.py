@@ -29,11 +29,15 @@ class GraphFormatError(ValueError):
 
 
 def graph_to_dict(g: Graph, outer: set[int] | None = None) -> dict[str, object]:
+    """The graph document; raises ValueError unless ``outer`` holds
+    distinct vertex ids of g, as ``graph_from_dict`` requires."""
     obj: dict[str, object] = {
         "n": g.n,
         "edges": sorted(g.edges()),  # json writes each (u, v) as [u, v]
     }
     if outer is not None:
+        if not _ids(outer, g.n) or len(set(outer)) != len(outer):
+            raise ValueError(f"outer must list distinct vertex ids of 0..{g.n - 1}")
         obj["outer"] = sorted(outer)
     return obj
 
@@ -92,8 +96,9 @@ def dumps_graph(g: Graph, outer: set[int] | None = None) -> str:
 
 
 def save_graph(path: str, g: Graph, outer: set[int] | None = None) -> None:
+    text = dumps_graph(g, outer)  # before open: a bad outer leaves no file
     with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps_graph(g, outer))
+        f.write(text)
 
 
 def load_graph(path: str) -> tuple[Graph, set[int] | None]:

@@ -221,14 +221,6 @@ def verify_peo(filled: Graph, order: list[int]) -> bool:
     return _peo_width(filled, order) is not None
 
 
-def treewidth_from_peo(filled: Graph, order: list[int]) -> int:
-    """Max count of later neighbors over the order; 3 for Halin completions."""
-    width = _peo_width(filled, order)
-    if width is None:
-        raise ValueError("order is not a perfect elimination ordering")
-    return width
-
-
 def _is_chordal(g: Graph) -> bool:
     """True iff g is chordal, in O(n + m) plus one ``_peo_width`` walk.
 

@@ -20,15 +20,15 @@ from halin import (
     chordal_completion,
     color_halin,
     generate,
-    is_even_wheel,
     make_necklace,
     make_wheel,
     peo_halin,
     recognize,
-    treewidth_from_peo,
     verify_halin,
     verify_peo,
 )
+from halin.coloring import _is_even_wheel
+from halin.peo import _peo_width
 from halin.recognition import certify
 from reference import chromatic_number_bruteforce, is_chordal_bruteforce
 
@@ -79,7 +79,7 @@ def test_criterion_1_three_colors_except_even_wheels():
         g, outer = generate(spec)
         cert = certificate_from_outer(g, outer)
         colors = color_halin(g, cert)
-        expected = 4 if is_even_wheel(g, cert) else 3
+        expected = 4 if _is_even_wheel(g, cert) else 3
         if not _proper(g, colors) or len(set(colors.values())) != expected:
             failures.append(spec)
         count += 1
@@ -170,7 +170,7 @@ def test_criterion_4_peo_correctness():
         if not verify_peo(comp, result.order):
             failures.append((spec, "peo"))
             continue
-        if treewidth_from_peo(comp, result.order) != 3:
+        if _peo_width(comp, result.order) != 3:
             failures.append((spec, "treewidth"))
         if g.n <= 12 and not is_chordal_bruteforce(comp):
             failures.append((spec, "chordal"))

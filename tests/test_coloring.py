@@ -4,24 +4,28 @@ from collections import Counter
 import pytest
 
 from halin import (
-    C1,
-    C2,
-    C3,
-    C4,
     ColoringTrace,
-    FanRun,
     GenSpec,
     Graph,
     MalformedCertificateError,
     certificate_from_outer,
     color_halin,
     generate,
-    is_even_wheel,
     make_necklace,
     make_wheel,
     recognize,
 )
-from halin.coloring import _check_proper, _color_tree, _odd_run
+from halin.coloring import (
+    C1,
+    C2,
+    C3,
+    C4,
+    FanRun,
+    _check_proper,
+    _color_tree,
+    _is_even_wheel,
+    _odd_run,
+)
 from halin.recognition import HalinCertificate, check_certificate
 
 
@@ -89,11 +93,11 @@ def test_parent_cycle_is_malformed():
 
 def test_is_even_wheel():
     g, outer = make_wheel(4)
-    assert is_even_wheel(g, _cert(g, outer))
+    assert _is_even_wheel(g, _cert(g, outer))
     g, outer = make_wheel(5)
-    assert not is_even_wheel(g, _cert(g, outer))
+    assert not _is_even_wheel(g, _cert(g, outer))
     g, outer = make_necklace(2)
-    assert not is_even_wheel(g, _cert(g, outer))
+    assert not _is_even_wheel(g, _cert(g, outer))
 
 
 def test_find_odd_run_prefers_true_fan(odd_fan_graph):
@@ -243,7 +247,7 @@ def test_random_graphs_proper_and_three_colors(seed):
     cert = _cert(g, outer)
     colors = color_halin(g, cert)
     assert _proper(g, colors)
-    expected = 4 if is_even_wheel(g, cert) else 3
+    expected = 4 if _is_even_wheel(g, cert) else 3
     assert len(set(colors.values())) == expected
 
 

@@ -6,7 +6,7 @@ from enum import IntEnum
 import pytest
 
 from halin import Graph, GraphFormatError
-from halin.io import dumps_graph, graph_from_dict, graph_to_dict
+from halin.io import dumps_graph, graph_from_dict, graph_to_dict, save_graph
 from halin.generators import make_wheel
 
 
@@ -194,3 +194,20 @@ def test_dumps_is_deterministic():
     b = dumps_graph(*make_wheel(7))
     assert a == b
     assert a.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "outer", [{99}, {-1}, {True, 2}, {1.0}, [1, 1]],
+    ids=["out-of-range", "negative", "bool", "float", "repeated"],
+)
+def test_writer_rejects_each_outer_its_reader_rejects(tmp_path, outer):
+    g, _ = make_wheel(6)
+    with pytest.raises(GraphFormatError):
+        graph_from_dict(dict(graph_to_dict(g), outer=list(outer)))
+    message = "^outer must list distinct vertex ids of 0..5$"
+    with pytest.raises(ValueError, match=message):
+        dumps_graph(g, outer)
+    path = tmp_path / "g.json"
+    with pytest.raises(ValueError, match=message):
+        save_graph(str(path), g, outer)
+    assert not path.exists()

@@ -3,6 +3,7 @@ the public names ``import halin`` resolves on first use, and the value
 semantics of the result types."""
 
 import copy
+import inspect
 import json
 import os
 import pickle
@@ -15,6 +16,8 @@ import halin
 from halin import (
     ColoringTrace,
     GenSpec,
+    HalinCertificate,
+    MalformedCertificateError,
     color_halin,
     generate,
     make_wheel,
@@ -79,22 +82,25 @@ def test_each_command_imports_only_what_it_runs(tmp_path, command):
 
 
 ALL = [
-    "C1", "C2", "C3", "C4", "ColoringTrace", "FanRun", "GenSpec", "Graph",
-    "GraphFormatError", "HalinCertificate", "MalformedCertificateError", "PeoResult",
-    "RecognitionResult", "TraceStep", "certificate_from_outer", "chordal_completion",
-    "color_halin", "dumps_graph", "generate", "is_even_wheel", "load_graph",
-    "make_necklace", "make_wheel", "peo_halin", "recognize", "save_graph",
-    "treewidth_from_peo", "verify_halin", "verify_peo",
+    "ColoringTrace", "GenSpec", "Graph", "GraphFormatError", "HalinCertificate",
+    "MalformedCertificateError", "PeoResult", "RecognitionResult", "TraceStep",
+    "certificate_from_outer", "chordal_completion", "color_halin", "dumps_graph",
+    "generate", "load_graph", "make_necklace", "make_wheel", "peo_halin", "recognize",
+    "save_graph", "verify_halin", "verify_peo",
 ]
+# Names halin does not export: C1-C4 and FanRun live in halin.coloring,
+# _is_even_wheel is private there, and the width is halin.peo._peo_width.
+REMOVED = ["C1", "C2", "C3", "C4", "FanRun", "is_even_wheel", "treewidth_from_peo"]
 
 SURFACE_CHILD = """
-import json
+import json, sys
 import halin
-facts = {"peo": halin.peo.verify_peo.__module__}
-try:
-    halin.nope
-except AttributeError as exc:
-    facts["nope"] = str(exc)
+facts = {"peo": halin.peo.verify_peo.__module__, "missing": []}
+for name in ["nope", *sys.argv[1:]]:
+    try:
+        getattr(halin, name)
+    except AttributeError as exc:
+        facts["missing"].append(str(exc))
 facts["all"] = halin.__all__
 facts["dir"] = dir(halin)
 star = {}
@@ -106,12 +112,36 @@ print(json.dumps(facts))
 
 
 def test_public_names_resolve_on_first_use(tmp_path):
-    facts = _child(SURFACE_CHILD, cwd=tmp_path)
+    facts = _child(SURFACE_CHILD, *REMOVED, cwd=tmp_path)
     assert facts["peo"] == "halin.peo"
-    assert facts["nope"] == "module 'halin' has no attribute 'nope'"
+    assert facts["missing"] == [
+        f"module 'halin' has no attribute {name!r}" for name in ["nope", *REMOVED]
+    ]
     assert facts["all"] == ALL
     assert set(ALL) <= set(facts["dir"])
+    assert not set(REMOVED) & set(facts["dir"])
     assert facts["star"] == ALL
+
+
+# Each exported function with a ``cert`` parameter.
+CERT_TAKERS = [
+    name for name in halin.__all__
+    if inspect.isfunction(getattr(halin, name))
+    and "cert" in inspect.signature(getattr(halin, name)).parameters
+]
+
+
+@pytest.mark.parametrize("name", CERT_TAKERS)
+def test_every_export_that_takes_a_certificate_checks_it(name):
+    # A forged certificate: every vertex but one on the "cycle", no tree.
+    g, _ = generate(GenSpec(10, "halin", 1))
+    forged = HalinCertificate(frozenset(range(9)), tuple(range(9)), {}, 9)
+    with pytest.raises(MalformedCertificateError):
+        getattr(halin, name)(g, forged)
+
+
+def test_the_certificate_check_covers_coloring_and_elimination():
+    assert CERT_TAKERS == ["color_halin", "peo_halin"]
 
 
 def _wheel_result():

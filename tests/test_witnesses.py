@@ -18,10 +18,9 @@ from halin import (
     make_wheel,
     peo_halin,
     recognize,
-    treewidth_from_peo,
 )
 from halin.coloring import _forced_colors
-from halin.peo import _is_chordal
+from halin.peo import _is_chordal, _peo_width
 from halin.recognition import HalinCertificate
 from reference import (
     chromatic_number_bruteforce,
@@ -65,7 +64,7 @@ def _check_witnesses(g):
     assert len(result.trace) - r2_steps == len(cert.outer) - 3
     assert r2_steps == g.n - len(cert.outer) - 1
     completion = chordal_completion(g, result)
-    assert treewidth_from_peo(completion, result.order) == 3
+    assert _peo_width(completion, result.order) == 3
     assert _is_chordal(completion)
     return completion
 
