@@ -2,9 +2,9 @@
 
 Every command prints structured JSON on stdout, in ``json.dumps``'
 default layout. Exit codes: 0 success, 1 negative decision (input is
-not Halin, a check failed), 2 usage or I/O error. A graph that is not
-Halin prints {"halin": false, "reason": ...}; verify adds its "mode"
-first and "ok": false last.
+not Halin, a check failed), 2 usage or I/O error or out of memory. A
+graph that is not Halin prints {"halin": false, "reason": ...}; verify
+adds its "mode" first and "ok": false last.
 
 Each command imports only the modules it runs: ``io``, ``graph`` and
 ``recognition`` load with this module, and the handlers import the rest.
@@ -71,8 +71,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (OSError, ValueError) as exc:  # a GraphFormatError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:  # a GraphFormatError is a ValueError
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # a MemoryError's message is empty
         return 2
 
 

@@ -103,15 +103,12 @@ def _grow_tree(n: int, rng: random.Random, cubic: bool) -> list[list[int]]:
         return v
 
     leaves = [new_child(0) for _ in range(root_kids)]
-    count = 1 + root_kids
-    while count < n:
-        remaining = n - count
-        if cubic:
+    while len(children) < n:
+        remaining = n - len(children)
+        if cubic or remaining in (2, 4):
             k = 2
         elif remaining == 3:
             k = 3
-        elif remaining in (2, 4):
-            k = 2
         else:
             k = 2 if rng.random() < 0.7 else 3
         idx = rng.randrange(len(leaves))
@@ -119,7 +116,6 @@ def _grow_tree(n: int, rng: random.Random, cubic: bool) -> list[list[int]]:
         leaves[idx] = leaves[-1]
         leaves.pop()
         leaves.extend(new_child(v) for _ in range(k))
-        count += k
     return children
 
 

@@ -91,14 +91,18 @@ def _read_json(path: str) -> object:
             raise GraphFormatError("invalid JSON: arrays or objects nested too deeply") from None
 
 
+def _write_json(path: str, doc: object) -> None:
+    text = json.dumps(doc) + "\n"  # before open, so a failed dump leaves the file as it was
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
 def dumps_graph(g: Graph, outer: set[int] | None = None) -> str:
     return json.dumps(graph_to_dict(g, outer)) + "\n"
 
 
 def save_graph(path: str, g: Graph, outer: set[int] | None = None) -> None:
-    text = dumps_graph(g, outer)  # before open: a bad outer leaves no file
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+    _write_json(path, graph_to_dict(g, outer))
 
 
 def load_graph(path: str) -> tuple[Graph, set[int] | None]:
@@ -154,8 +158,7 @@ def load_certificate(path: str) -> HalinCertificate:
 
 
 def save_certificate(path: str, cert: HalinCertificate) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(certificate_to_dict(cert)) + "\n")
+    _write_json(path, certificate_to_dict(cert))
 
 
 # One fill color per color index c1..c4.

@@ -8,22 +8,7 @@ from pathlib import Path
 import pytest
 
 from halin import Graph
-
-
-def build_halin(children: list[list[int]]) -> tuple[Graph, set[int]]:
-    """Graph from an ordered tree (per-vertex child lists, root 0) plus
-    the leaf cycle in depth-first leaf order."""
-    tree = [(parent, kid) for parent, kids in enumerate(children) for kid in kids]
-    leaves = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        if children[v]:
-            stack.extend(reversed(children[v]))
-        else:
-            leaves.append(v)
-    cycle = list(zip(leaves, leaves[1:] + leaves[:1]))
-    return Graph.from_edges(len(children), tree + cycle), set(leaves)
+from halin.generators import _close_cycle as build_halin  # child lists, root 0: tree plus DFS leaf cycle
 
 
 @pytest.fixture(scope="session")

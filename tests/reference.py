@@ -13,7 +13,8 @@ acceptance by ``certify`` cannot hide in it.
 exhaustive checks that the witnesses of ``halin verify`` are compared
 against. The three are deliberately naive and hard-capped at 16
 vertices, so that a test can never wander into exponential territory
-by accident. ``halin_graphs`` enumerates
+by accident. ``_proper`` checks a coloring edge by edge, with no cap.
+``halin_graphs`` enumerates
 every Halin graph up to a number of leaves, from its plane trees.
 ``reference_rims`` undoes a reduction trace around one hub at a time,
 for the rims that ``recognition._rims`` recovers around all at once.
@@ -272,6 +273,11 @@ def is_chordal_bruteforce(g: Graph) -> bool:
             adj[w].discard(simplicial)
         del adj[simplicial]
     return True
+
+
+def _proper(g: Graph, colors: dict[int, int]) -> bool:
+    """True iff no edge of ``g`` joins two vertices of the same color."""
+    return all(colors[u] != colors[v] for u, v in g.edges())
 
 
 

@@ -30,7 +30,7 @@ from halin import (
 from halin.coloring import _is_even_wheel
 from halin.peo import _peo_width
 from halin.recognition import certify
-from reference import chromatic_number_bruteforce, is_chordal_bruteforce
+from reference import _proper, chromatic_number_bruteforce, is_chordal_bruteforce
 
 PER_VARIANT = 1000
 SIZE_RANGE = (4, 500)
@@ -66,10 +66,6 @@ def _report(name: str, failures: list, detail: str = "") -> None:
     status = "PASS" if not failures else f"FAIL ({len(failures)} violations)"
     print(f"\n[{status}] {name}{': ' + detail if detail else ''}")
     assert not failures, failures[:5]
-
-
-def _proper(g, colors):
-    return all(colors[u] != colors[v] for u, v in g.edges())
 
 
 def test_criterion_1_three_colors_except_even_wheels():

@@ -325,26 +325,40 @@ def test_tampered_certificate_is_format_error(tmp_path, command, doc):
     _assert_cli_format_error(command, "--in", graph, "--certificate", docs[doc])
 
 
-def test_huge_vertex_count_is_a_format_error_under_a_memory_limit(tmp_path):
-    # "n" may not exceed 2 * len(edges) + 1, so a short document cannot
-    # make the reader allocate 10**9 adjacency sets. The child limits its
-    # own address space to 300 MB before it reads the file.
-    path = tmp_path / "huge.json"
-    path.write_text('{"n": 1000000000, "edges": []}')
+def _main_under_memory_limit(megabytes, *args):
+    """Run ``main(args)`` in a child that first limits its own address space."""
     code = (
         "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({megabytes} << 20, {megabytes} << 20))\n"
         "from halin.cli import main\n"
-        "sys.exit(main(['recognize', '--in', sys.argv[1]]))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
     )
     src = os.path.dirname(os.path.dirname(halin.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(path)],
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
+
+
+def test_huge_vertex_count_is_a_format_error_under_a_memory_limit(tmp_path):
+    # "n" may not exceed 2 * len(edges) + 1, so a short document cannot
+    # make the reader allocate 10**9 adjacency sets, even in 300 MB.
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1000000000, "edges": []}')
+    proc = _main_under_memory_limit(300, "recognize", "--in", path)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == 'error: "n" must be at most 2 * (number of edges) + 1\n'
+
+
+def test_running_out_of_memory_is_an_error_line_not_a_traceback():
+    # A wheel of 2 * 10**8 vertices does not fit in 400 MB: building it
+    # raises MemoryError, which exits 2 like any error the command cannot
+    # get past, not 1, the exit of a negative decision.
+    proc = _main_under_memory_limit(400, "generate", "--variant", "wheel", "--n", 200_000_000)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: MemoryError\n"
 
 
 @pytest.mark.parametrize(

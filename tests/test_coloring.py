@@ -27,10 +27,7 @@ from halin.coloring import (
     _odd_run,
 )
 from halin.recognition import HalinCertificate, check_certificate
-
-
-def _proper(g, colors):
-    return all(colors[u] != colors[v] for u, v in g.edges())
+from reference import _proper
 
 
 def _cert(g, outer):

@@ -5,8 +5,8 @@ from enum import IntEnum
 
 import pytest
 
-from halin import Graph, GraphFormatError
-from halin.io import dumps_graph, graph_from_dict, graph_to_dict, save_graph
+from halin import Graph, GraphFormatError, HalinCertificate, certificate_from_outer
+from halin.io import dumps_graph, graph_from_dict, graph_to_dict, save_certificate, save_graph
 from halin.generators import make_wheel
 
 
@@ -211,3 +211,13 @@ def test_writer_rejects_each_outer_its_reader_rejects(tmp_path, outer):
     with pytest.raises(ValueError, match=message):
         save_graph(str(path), g, outer)
     assert not path.exists()
+
+
+def test_certificate_writer_leaves_the_file_when_it_cannot_serialize(tmp_path):
+    path = tmp_path / "cert.json"
+    save_certificate(str(path), certificate_from_outer(*make_wheel(6)))
+    before = path.read_bytes()
+    bad = HalinCertificate(frozenset({1, "a"}), (1,), {}, 0)  # its outer does not sort
+    with pytest.raises(TypeError):
+        save_certificate(str(path), bad)
+    assert path.read_bytes() == before

@@ -207,7 +207,7 @@ def test_cli_output_is_pinned(tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(doc.encode()).hexdigest() == CLI_PINNED
 
 
-# sha256 of each demo's stdout. Demo 04 prints timings, so it is left out.
+# sha256 of each demo's stdout.
 DEMOS_PINNED = {
     "01_generate_and_recognize.py": "d0a30a79a4d391b903cfba004741aec338f775bdff8a4c319d6c3da019dfedbe",
     "02_vertex_coloring.py": "b78d8be483b5020a7e5f389dfdf44aabe57f5df9b29b2d0d00db8d533d48cd9d",
@@ -215,12 +215,19 @@ DEMOS_PINNED = {
 }
 
 
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+def test_every_demo_is_pinned():
+    """A demo whose stdout cannot be pinned (timings, say) has no place in demos/."""
+    assert sorted(DEMOS_PINNED) == sorted(path.name for path in DEMOS.glob("*.py"))
+
+
 @pytest.mark.parametrize("demo", sorted(DEMOS_PINNED))
 def test_demo_output_is_pinned(demo):
-    demos = Path(__file__).resolve().parents[1] / "demos"
     src = os.path.dirname(os.path.dirname(halin.__file__))
     proc = subprocess.run(
-        [sys.executable, str(demos / demo)], capture_output=True, env=dict(os.environ, PYTHONPATH=src)
+        [sys.executable, str(DEMOS / demo)], capture_output=True, env=dict(os.environ, PYTHONPATH=src)
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == DEMOS_PINNED[demo]
