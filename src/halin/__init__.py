@@ -23,9 +23,7 @@ _SOURCE = {
     "GraphFormatError": "io",
     "HalinCertificate": "recognition",
     "MalformedCertificateError": "recognition",
-    "PeoResult": "peo",
     "RecognitionResult": "recognition",
-    "TraceStep": "peo",
     "certificate_from_outer": "recognition",
     "chordal_completion": "peo",
     "color_halin": "coloring",

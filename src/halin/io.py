@@ -91,8 +91,8 @@ def _read_json(path: str) -> object:
             raise GraphFormatError("invalid JSON: arrays or objects nested too deeply") from None
 
 
-def _write_json(path: str, doc: object) -> None:
-    text = json.dumps(doc) + "\n"  # before open, so a failed dump leaves the file as it was
+def _write(path: str, text: str) -> None:
+    # Each writer builds its whole text first, so one that fails leaves the file as it was.
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 
@@ -102,7 +102,7 @@ def dumps_graph(g: Graph, outer: set[int] | None = None) -> str:
 
 
 def save_graph(path: str, g: Graph, outer: set[int] | None = None) -> None:
-    _write_json(path, graph_to_dict(g, outer))
+    _write(path, dumps_graph(g, outer))
 
 
 def load_graph(path: str) -> tuple[Graph, set[int] | None]:
@@ -110,12 +110,20 @@ def load_graph(path: str) -> tuple[Graph, set[int] | None]:
 
 
 def certificate_to_dict(cert: HalinCertificate) -> dict[str, object]:
-    return {
+    """The certificate document; raises ValueError unless every id, in
+    "outer", "cycle_order", "root" and both sides of "parent", is an int,
+    as ``certificate_from_dict`` requires (a bool is no id)."""
+    doc = {
         "outer": sorted(cert.outer),
         "cycle_order": list(cert.cycle_order),
         "root": cert.root,
         "parent": {str(v): p for v, p in sorted(cert.parent.items())},
     }
+    ids = {type(cert.root), *map(type, doc["outer"]), *map(type, doc["cycle_order"]),
+           *map(type, cert.parent), *map(type, cert.parent.values())}
+    if not ids <= {int}:
+        raise ValueError("certificate ids must all be ints")
+    return doc
 
 
 def certificate_from_dict(obj: object) -> HalinCertificate:
@@ -158,7 +166,7 @@ def load_certificate(path: str) -> HalinCertificate:
 
 
 def save_certificate(path: str, cert: HalinCertificate) -> None:
-    _write_json(path, certificate_to_dict(cert))
+    _write(path, json.dumps(certificate_to_dict(cert)) + "\n")
 
 
 # One fill color per color index c1..c4.
@@ -169,11 +177,10 @@ def write_dot(path: str, g: Graph, colors: dict[int, int], outer: Set[int]) -> N
     """Write a DOT rendering: each vertex filled with its color (``colors``
     maps every vertex), cycle edges (both ends in ``outer``) drawn bold,
     tree edges thin."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write('graph halin {\n  node [shape=circle, style=filled, fillcolor="#eeeeee"];\n')
-        for v in g.vertices():
-            f.write(f'  {v} [fillcolor="{_PALETTE[colors[v] % 4]}"];\n')
-        for u, v in sorted(g.edges()):
-            bold = " [penwidth=2.5]" if u in outer and v in outer else ""
-            f.write(f"  {u} -- {v}{bold};\n")
-        f.write("}\n")
+    lines = ["graph halin {", '  node [shape=circle, style=filled, fillcolor="#eeeeee"];']
+    lines += [f'  {v} [fillcolor="{_PALETTE[colors[v] % 4]}"];' for v in g.vertices()]
+    for u, v in sorted(g.edges()):
+        bold = " [penwidth=2.5]" if u in outer and v in outer else ""
+        lines.append(f"  {u} -- {v}{bold};")
+    lines.append("}\n")
+    _write(path, "\n".join(lines))

@@ -15,7 +15,6 @@ decomposition.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Collection, Iterable
 from itertools import combinations
 
 from .graph import Graph, _add_edges, _ids
@@ -45,41 +44,25 @@ _new_tuple = tuple.__new__  # builds a TraceStep without its Python-level __new_
 
 
 class PeoResult(_Record):
-    """Elimination order, fill edges and the trace of reduction steps.
+    """Elimination order, fill edges and the trace of reduction steps,
+    as ``peo_halin`` returns them.
 
     ``fill_edges`` is a list with each fill once, as (min, max), in the
     order of ``trace``: one per R1 step, two per R2 step. Most consecutive
     fills share an end (R1 keeps the cursor, R2 fills both toward t), so
     ``chordal_completion`` adds them along the cycle, to adjacency sets
     still in cache, rather than in hash order. ``set(fill_edges)`` gives
-    them as a set. A result built by hand may give any iterable of
-    pairs, a set included.
+    them as a set. For the graph plus edges of your own, use
+    ``Graph.from_edges(g.n, [*g.edges(), *extra])``.
 
     ``trace`` is read-only and returns a new list of TraceSteps on each
     read, built from the one flat record the result stores, six entries
-    a step (see ``TraceStep``). A result built by hand may give its
-    steps as any iterable of (rule, eliminated, clique) with four clique
-    ids, TraceSteps or plain tuples; they are stored in that same form,
-    so results compare, print, pickle and copy by value whichever way
-    they were built. Raises ValueError, naming the step, for a step of
-    any other shape.
+    a step (see ``TraceStep``), so results compare, print, pickle and
+    copy by value.
     """
 
-    def __init__(
-        self, order: list[int], fill_edges: Collection[tuple[int, int]], trace: Iterable[TraceStep]
-    ) -> None:
-        self.order = order
-        self.fill_edges = fill_edges
-        record: list = []
-        for step in trace:
-            try:
-                rule, eliminated, (a, b, c, d) = step
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"trace step {step!r} is not (rule, eliminated, four clique ids)"
-                ) from None
-            record += (rule, eliminated, a, b, c, d)
-        self.__dict__["trace"] = record
+    def __init__(self, order: list[int], fill_edges: list[tuple[int, int]], record: list) -> None:
+        self.__dict__.update(order=order, fill_edges=fill_edges, trace=record)
 
     @property
     def trace(self) -> list[TraceStep]:
@@ -195,9 +178,7 @@ def peo_halin(g: Graph, cert: HalinCertificate) -> PeoResult:
         raise MalformedCertificateError("residue is not a K4")
     order = record[1::6]  # the eliminated vertices
     order += tail
-    result = PeoResult(order, fills, ())
-    result.__dict__["trace"] = record  # already in the stored form
-    return result
+    return PeoResult(order, fills, record)
 
 
 def chordal_completion(g: Graph, result: PeoResult) -> Graph:

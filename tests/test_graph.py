@@ -6,7 +6,10 @@ from enum import IntEnum
 import pytest
 
 from halin import Graph, GraphFormatError, HalinCertificate, certificate_from_outer
-from halin.io import dumps_graph, graph_from_dict, graph_to_dict, save_certificate, save_graph
+from halin.io import (
+    dumps_graph, graph_from_dict, graph_to_dict, load_certificate, save_certificate, save_graph,
+    write_dot,
+)
 from halin.generators import make_wheel
 
 
@@ -220,4 +223,35 @@ def test_certificate_writer_leaves_the_file_when_it_cannot_serialize(tmp_path):
     bad = HalinCertificate(frozenset({1, "a"}), (1,), {}, 0)  # its outer does not sort
     with pytest.raises(TypeError):
         save_certificate(str(path), bad)
+    assert path.read_bytes() == before
+
+
+def test_certificate_writer_refuses_ids_its_reader_rejects(tmp_path):
+    path = tmp_path / "cert.json"
+    bad = HalinCertificate(frozenset({True, 2}), (1.5,), {"x": 0}, 0)
+    with pytest.raises(ValueError, match="^certificate ids must all be ints$"):
+        save_certificate(str(path), bad)
+    assert not path.exists()
+    # Each field on its own, the rest good: a wheel's certificate with one id replaced.
+    good = certificate_from_outer(*make_wheel(6))
+    save_certificate(str(path), good)
+    assert load_certificate(str(path)) == good
+    before = path.read_bytes()
+    fields = vars(good)
+    for name, value in [
+        ("outer", good.outer - {0} | {0.0}), ("cycle_order", (*good.cycle_order[:-1], "4")),
+        ("root", True), ("parent", {**good.parent, 0: 5.0}), ("parent", {str(v): p for v, p in good.parent.items()}),
+    ]:
+        with pytest.raises(ValueError, match="^certificate ids must all be ints$"):
+            save_certificate(str(path), HalinCertificate(**{**fields, name: value}))
+    assert path.read_bytes() == before
+
+
+def test_dot_writer_leaves_the_file_when_a_color_is_missing(tmp_path):
+    g, outer = make_wheel(6)
+    path = tmp_path / "g.dot"
+    write_dot(str(path), g, dict.fromkeys(g.vertices(), 1), outer)
+    before = path.read_bytes()
+    with pytest.raises(KeyError):
+        write_dot(str(path), g, {0: 1}, outer)
     assert path.read_bytes() == before

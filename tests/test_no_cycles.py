@@ -9,17 +9,13 @@ untracked, and ``PeoResult.trace`` builds the TraceSteps on each read.
 So ``peo_halin`` keeps no tuple per step, and a live result holds no
 tracked object that every later full collection would rescan."""
 
-import copy
 import gc
 import hashlib
 import json
-import pickle
 
 from halin import (
     GenSpec,
     Graph,
-    PeoResult,
-    TraceStep,
     certificate_from_outer,
     chordal_completion,
     color_halin,
@@ -30,6 +26,7 @@ from halin import (
 )
 from halin.generators import VARIANTS
 from halin.io import certificate_from_dict, certificate_to_dict, dumps_graph, graph_from_dict
+from halin.peo import TraceStep
 from halin.recognition import check_certificate
 
 
@@ -108,27 +105,3 @@ def test_trace_is_read_only_and_new_on_each_read():
     else:
         raise AssertionError("PeoResult.trace took an assignment")
 
-
-def test_a_result_built_from_trace_steps_works_like_one_peo_halin_built():
-    g, outer = generate(GenSpec(500, "halin", seed=3))
-    made = peo_halin(g, certificate_from_outer(g, outer))
-    steps = [TraceStep(*step) for step in made.trace]
-    # Steps given as plain tuples, by a generator or with list cliques are
-    # stored in the same form as TraceSteps, so the results are all equal.
-    forms = {
-        "trace steps": steps,
-        "plain tuples": [tuple(step) for step in steps],
-        "a generator": (step for step in steps),
-        "list cliques": [(rule, v, list(clique)) for rule, v, clique in steps],
-    }
-    for form, given in forms.items():
-        hand = PeoResult(list(made.order), list(made.fill_edges), given)
-        assert hand == made and made == hand, form
-        assert repr(hand) == repr(made), form
-        assert hand.trace == steps and all(type(step) is TraceStep for step in hand.trace), form
-        for clone in (pickle.loads(pickle.dumps(hand)), copy.copy(hand), copy.deepcopy(hand)):
-            assert clone == made and repr(clone) == repr(made) and clone.trace == steps, form
-    assert list(chordal_completion(g, hand).edges()) == list(chordal_completion(g, made).edges())
-    # Fills given as a set make the same completion, added in another order.
-    as_set = PeoResult(list(made.order), set(made.fill_edges), steps)
-    assert set(chordal_completion(g, as_set).edges()) == set(chordal_completion(g, made).edges())

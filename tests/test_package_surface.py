@@ -83,19 +83,24 @@ def test_each_command_imports_only_what_it_runs(tmp_path, command):
 
 ALL = [
     "ColoringTrace", "GenSpec", "Graph", "GraphFormatError", "HalinCertificate",
-    "MalformedCertificateError", "PeoResult", "RecognitionResult", "TraceStep",
-    "certificate_from_outer", "chordal_completion", "color_halin", "dumps_graph",
-    "generate", "load_graph", "make_necklace", "make_wheel", "peo_halin", "recognize",
-    "save_graph", "verify_halin", "verify_peo",
+    "MalformedCertificateError", "RecognitionResult", "certificate_from_outer",
+    "chordal_completion", "color_halin", "dumps_graph", "generate", "load_graph",
+    "make_necklace", "make_wheel", "peo_halin", "recognize", "save_graph", "verify_halin",
+    "verify_peo",
 ]
 # Names halin does not export: C1-C4 and FanRun live in halin.coloring,
-# _is_even_wheel is private there, and the width is halin.peo._peo_width.
-REMOVED = ["C1", "C2", "C3", "C4", "FanRun", "is_even_wheel", "treewidth_from_peo"]
+# PeoResult and TraceStep in halin.peo, _is_even_wheel is private to
+# halin.coloring, and the width is halin.peo._peo_width.
+REMOVED = [
+    "C1", "C2", "C3", "C4", "FanRun", "PeoResult", "TraceStep", "is_even_wheel",
+    "treewidth_from_peo",
+]
 
 SURFACE_CHILD = """
 import json, sys
 import halin
 facts = {"peo": halin.peo.verify_peo.__module__, "missing": []}
+facts["types"] = [halin.peo.PeoResult.__module__, halin.peo.TraceStep.__module__]
 for name in ["nope", *sys.argv[1:]]:
     try:
         getattr(halin, name)
@@ -114,6 +119,7 @@ print(json.dumps(facts))
 def test_public_names_resolve_on_first_use(tmp_path):
     facts = _child(SURFACE_CHILD, *REMOVED, cwd=tmp_path)
     assert facts["peo"] == "halin.peo"
+    assert facts["types"] == ["halin.peo", "halin.peo"]
     assert facts["missing"] == [
         f"module 'halin' has no attribute {name!r}" for name in ["nope", *REMOVED]
     ]

@@ -7,7 +7,6 @@ from halin import (
     GenSpec,
     Graph,
     MalformedCertificateError,
-    PeoResult,
     certificate_from_outer,
     chordal_completion,
     color_halin,
@@ -17,7 +16,8 @@ from halin import (
     peo_halin,
     verify_peo,
 )
-from halin.peo import _peo_width
+from halin.generators import VARIANTS
+from halin.peo import PeoResult, _peo_width
 from halin.recognition import HalinCertificate
 from reference import is_chordal_bruteforce, relabel
 
@@ -278,18 +278,19 @@ def test_completion_rejects_bad_fill(fill):
         chordal_completion(g, PeoResult([], {fill}, []))
 
 
-@pytest.mark.parametrize(
-    "step",
-    [("R1", 1, (0, 1, 2)), ("R1", 1, (0, 1, 2, 4, 5)), ("R1", 1, 7), ("R1", 1),
-     ("R1", 1, (0, 1, 2, 4), 9), None],
-    ids=["three-ids", "five-ids", "int-clique", "no-clique", "four-fields", "none"],
-)
-def test_a_hand_built_step_of_another_shape_is_refused(step):
-    good = ("R1", 1, (0, 1, 2, 4))
-    shape = r"^trace step .* is not \(rule, eliminated, four clique ids\)$"
-    with pytest.raises(ValueError, match=shape) as err:
-        PeoResult([1, 0, 2, 3, 4], [(0, 2)], [good, step])
-    assert repr(step) in str(err.value)
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("relabelled", [False, True], ids=["generated", "relabelled"])
+def test_completion_is_the_graph_plus_the_fill_edges(variant, relabelled):
+    g, outer = generate(GenSpec(300, variant, seed=6))
+    if relabelled:
+        g, perm = relabel(g, random.Random(6))
+        outer = {perm[v] for v in outer}
+    r = _run(g, outer)
+    expected = set(Graph.from_edges(g.n, [*g.edges(), *r.fill_edges]).edges())
+    assert set(chordal_completion(g, r).edges()) == expected
+    # Fills given as a set make the same completion, added in another order.
+    as_set = PeoResult(r.order, set(r.fill_edges), [])
+    assert set(chordal_completion(g, as_set).edges()) == expected
 
 
 def _verify_peo_pairwise(filled, order):
